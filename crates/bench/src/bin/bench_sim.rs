@@ -31,10 +31,6 @@
 //!   wedged bitstreams are re-mapped around the damage and bit-verified.
 //!   Fault runs imply `--no-search` and refuse `--check` (a damaged
 //!   fabric is not comparable to the healthy baseline);
-//! - `--engine wheel|heap`  pin the simulator's event-queue core. The
-//!   default (and what every committed snapshot records and gates
-//!   against) is the event wheel; `--engine heap` measures the reference
-//!   core. The gate refuses to compare snapshots from different engines;
 //! - `--lanes N`  run each point as N batched lanes (seeds S..S+N) of
 //!   one compiled bitstream (`runner::run_kernel_lanes`), recording lane
 //!   0's cycles and the whole batch's wall time — the amortized-sweep
@@ -43,10 +39,13 @@
 //! - `--trace FILE --trace-point KERNEL:PRESET`  skip the sweep and run
 //!   the one named point with the cycle tracer attached, writing a
 //!   Chrome trace-event JSON (Perfetto-viewable) to FILE. Combines with
-//!   `--engine` (heap-vs-wheel trace diffing) and the fault flags
-//!   (healthy-vs-remapped); refuses `--check`/`--replay`/`--compare`/
-//!   `--serial`/`--lanes`, whose wall-clock semantics a traced run
-//!   would distort.
+//!   the fault flags (healthy-vs-remapped); refuses `--check`/`--replay`/
+//!   `--compare`/`--serial`/`--lanes`, whose wall-clock semantics a
+//!   traced run would distort.
+//!
+//! Every snapshot records `"engine": "wheel"`, the simulator's only
+//! event core; the gate refuses a baseline recorded on any other engine,
+//! whose wall times are not comparable.
 //!
 //! Unless `--no-search` is given, every point is additionally compiled
 //! with the annealing mapping explorer (`SearchBudget::default_on()`)
@@ -58,15 +57,15 @@ use marionette::arch::FabricDims;
 use marionette::compiler::SearchBudget;
 use marionette::kernels::traits::Scale;
 use marionette::parallel::{par_map, sweep_threads};
-use marionette::runner::{
-    run_kernel, run_kernel_faulted, run_kernel_faulted_traced, run_kernel_lanes_with_engine,
-    run_kernel_traced, run_kernel_with_engine, DEFAULT_MAX_CYCLES,
-};
-use marionette::sim::{EngineKind, FaultSet, Tracer};
+use marionette::runner::{run_kernel, run_kernel_faulted, run_kernel_lanes, DEFAULT_MAX_CYCLES};
+use marionette::sim::{FaultSet, Tracer};
 use marionette_bench::snapshot;
 use std::time::Instant;
 
 const SEED: u64 = 1;
+
+/// The simulator's event core, as every snapshot records it.
+const ENGINE: &str = "wheel";
 
 /// Default wall-clock regression threshold of the `--check` gate
 /// (override with `--wall-tolerance PCT`). The per-point cycle compare
@@ -112,7 +111,6 @@ fn sweep(
     search: bool,
     fabric: FabricDims,
     faults: &FaultSet,
-    engine: EngineKind,
     lanes: usize,
 ) -> Result<(Vec<Measured>, usize, f64), String> {
     let pts = points(fabric);
@@ -124,8 +122,8 @@ fn sweep(
         // cross-PR simulator-throughput metric, and must not absorb the
         // mapping-search compile time of the delta sweep below.
         let t = Instant::now();
-        // The empty fault set keeps the legacy path (bit-identical
-        // anyway, but the throughput metric stays honest).
+        // A healthy point fails the sweep on any error; a faulted one
+        // counts a remap that cannot fit as a skipped point.
         let (r, remapped) = if faults.is_empty() && lanes > 1 {
             // Amortized mode: one compile, N verified lanes; the point
             // records lane 0 (seed SEED, same numbers as a 1-lane run)
@@ -135,15 +133,8 @@ fn sweep(
             // lanes still pin machine-reset isolation — any cross-lane
             // state leak shows up as a lane-i verification mismatch.
             let seeds: Vec<u64> = vec![SEED; lanes];
-            let runs = run_kernel_lanes_with_engine(
-                k.as_ref(),
-                &p.arch,
-                scale,
-                &seeds,
-                DEFAULT_MAX_CYCLES,
-                engine,
-            )
-            .map_err(|e| format!("{} on {}: {e}", p.kernel, p.arch.short))?;
+            let runs = run_kernel_lanes(k.as_ref(), &p.arch, scale, &seeds, DEFAULT_MAX_CYCLES)
+                .map_err(|e| format!("{} on {}: {e}", p.kernel, p.arch.short))?;
             let mut first = None;
             for (li, r) in runs.into_iter().enumerate() {
                 let r =
@@ -154,18 +145,19 @@ fn sweep(
             }
             (first.expect("lanes >= 1"), false)
         } else if faults.is_empty() {
-            let r = run_kernel_with_engine(
+            let r = run_kernel(k.as_ref(), &p.arch, scale, SEED, DEFAULT_MAX_CYCLES)
+                .map_err(|e| format!("{} on {}: {e}", p.kernel, p.arch.short))?;
+            (r, false)
+        } else {
+            match run_kernel_faulted(
                 k.as_ref(),
                 &p.arch,
                 scale,
                 SEED,
                 DEFAULT_MAX_CYCLES,
-                engine,
-            )
-            .map_err(|e| format!("{} on {}: {e}", p.kernel, p.arch.short))?;
-            (r, false)
-        } else {
-            match run_kernel_faulted(k.as_ref(), &p.arch, scale, SEED, DEFAULT_MAX_CYCLES, faults) {
+                faults,
+                None,
+            ) {
                 Ok(fr) => (fr.run, fr.remapped),
                 // The healthy compile of every shipped point succeeds,
                 // so a compile error is the typed remap-infeasible
@@ -242,7 +234,6 @@ struct Flags {
     fault_specs: Vec<String>,
     faults: usize,
     fault_seed: u64,
-    engine: EngineKind,
     lanes: usize,
     trace: Option<String>,
     trace_point: Option<String>,
@@ -262,7 +253,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         fault_specs: Vec::new(),
         faults: 0,
         fault_seed: 1,
-        engine: EngineKind::default(),
         lanes: 1,
         trace: None,
         trace_point: None,
@@ -320,10 +310,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| format!("--fault-seed must be numeric, got `{v}`"))?;
             }
-            "--engine" => {
-                let v = value(args, &mut i, "--engine")?;
-                flags.engine = v.parse().map_err(|e| format!("--engine: {e}"))?;
-            }
             "--lanes" => {
                 let v = value(args, &mut i, "--lanes")?;
                 flags.lanes = match v.parse() {
@@ -338,7 +324,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     "unknown argument `{other}` (flags: --paper --serial --compare \
                      --no-search --fabric RxC --out PATH --check BASELINE --replay FRESH \
                      --wall-tolerance PCT --fault SPEC --faults N --fault-seed S \
-                     --engine wheel|heap --lanes N --trace FILE --trace-point KERNEL:PRESET)"
+                     --lanes N --trace FILE --trace-point KERNEL:PRESET)"
                 ))
             }
         }
@@ -360,14 +346,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         if flags.check.is_some() {
             return Err(
                 "--check compares against a healthy baseline; drop the fault flags".to_string(),
-            );
-        }
-        if flags.engine != EngineKind::default() {
-            // The self-healing fault path runs the production engine;
-            // cross-engine fault equivalence is pinned by the test suite
-            // (`engine_equivalence.rs`), not this harness.
-            return Err(
-                "--engine combines with healthy sweeps only; drop the fault flags".to_string(),
             );
         }
         if flags.lanes > 1 {
@@ -490,28 +468,22 @@ fn load_snapshot(path: &str) -> Result<Snapshot, String> {
         scale: meta("scale", "small"),
         // Snapshots written before the fabric axis existed are 4×4.
         fabric: meta("fabric", "4x4"),
-        // Snapshots written before the engine selector existed were
-        // measured on the pre-wheel heap core — but their cycle counts
-        // are engine-independent, and the wheel has been the default
-        // since it landed, so missing means "wheel" for gate purposes.
-        engine: meta("engine", "wheel"),
+        // Snapshots written before the engine field existed count as
+        // wheel runs: their cycle counts match, and the gate has always
+        // treated them so.
+        engine: meta("engine", ENGINE),
     })
 }
 
-/// The `--check` gate: compares fresh greedy points against the
-/// pre-loaded baseline snapshot. Refuses incomparable runs (different
-/// scale or fabric) with a single clear error instead of 126 bogus
-/// per-point violations.
-#[allow(clippy::too_many_arguments)]
-fn run_gate(
+/// Refuses a baseline the fresh run cannot be compared with (different
+/// scale, fabric or engine) with a single clear error instead of 126
+/// bogus per-point violations.
+fn check_comparable(
     baseline_path: &str,
     base: &Snapshot,
-    fresh: &[snapshot::BenchPoint],
-    fresh_wall_ms: f64,
     fresh_scale: &str,
     fresh_fabric: &str,
     fresh_engine: &str,
-    wall_tolerance: f64,
 ) -> Result<(), String> {
     if (base.scale.as_str(), base.fabric.as_str()) != (fresh_scale, fresh_fabric) {
         return Err(format!(
@@ -525,6 +497,23 @@ fn run_gate(
             base.engine
         ));
     }
+    Ok(())
+}
+
+/// The `--check` gate: compares fresh greedy points against the
+/// pre-loaded baseline snapshot, after [`check_comparable`].
+#[allow(clippy::too_many_arguments)]
+fn run_gate(
+    baseline_path: &str,
+    base: &Snapshot,
+    fresh: &[snapshot::BenchPoint],
+    fresh_wall_ms: f64,
+    fresh_scale: &str,
+    fresh_fabric: &str,
+    fresh_engine: &str,
+    wall_tolerance: f64,
+) -> Result<(), String> {
+    check_comparable(baseline_path, base, fresh_scale, fresh_fabric, fresh_engine)?;
     let violations = snapshot::check_against_baseline(
         &base.points,
         base.wall_ms,
@@ -564,7 +553,6 @@ fn run(flags: Flags) -> Result<(), String> {
         fault_specs,
         faults,
         fault_seed,
-        engine,
         lanes,
         trace,
         trace_point,
@@ -579,32 +567,23 @@ fn run(flags: Flags) -> Result<(), String> {
         let k = marionette::kernels::by_short(&tag).expect("tag from the registry");
         let mut tracer = Tracer::new();
         let t = Instant::now();
-        let (r, remapped) = if faults.is_empty() {
-            let r = run_kernel_traced(
-                k.as_ref(),
-                &arch,
-                scale,
-                SEED,
-                DEFAULT_MAX_CYCLES,
-                engine,
-                &mut tracer,
-            )
-            .map_err(|e| format!("{tag} on {}: {e}", arch.short))?;
-            (r, false)
-        } else {
-            let fr = run_kernel_faulted_traced(
-                k.as_ref(),
-                &arch,
-                scale,
-                SEED,
-                DEFAULT_MAX_CYCLES,
-                &faults,
-                engine,
-                &mut tracer,
-            )
-            .map_err(|e| format!("{tag} on {} with [{faults}]: {e}", arch.short))?;
-            (fr.run, fr.remapped)
-        };
+        let fr = run_kernel_faulted(
+            k.as_ref(),
+            &arch,
+            scale,
+            SEED,
+            DEFAULT_MAX_CYCLES,
+            &faults,
+            Some(&mut tracer),
+        )
+        .map_err(|e| {
+            if faults.is_empty() {
+                format!("{tag} on {}: {e}", arch.short)
+            } else {
+                format!("{tag} on {} with [{faults}]: {e}", arch.short)
+            }
+        })?;
+        let (r, remapped) = (fr.run, fr.remapped);
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         std::fs::write(path, tracer.to_chrome_json())
             .map_err(|e| format!("writing {path}: {e}"))?;
@@ -650,33 +629,21 @@ fn run(flags: Flags) -> Result<(), String> {
         "small"
     };
     if let (Some(path), Some(base)) = (&check, &baseline) {
-        if (base.scale.as_str(), base.fabric.as_str()) != (scale_name, fabric.to_string().as_str())
-        {
-            return Err(format!(
-                "baseline {path} is scale={} fabric={}, this run is scale={scale_name} fabric={fabric} — not comparable",
-                base.scale, base.fabric
-            ));
-        }
-        if base.engine != engine.to_string() {
-            return Err(format!(
-                "baseline {path} was measured on the {} engine, this run on {engine} — wall times are not comparable",
-                base.engine
-            ));
-        }
+        check_comparable(path, base, scale_name, &fabric.to_string(), ENGINE)?;
     }
 
     let threads = sweep_threads();
 
     let mut serial_wall: Option<f64> = None;
     let (points, infeasible, wall_ms, mode, used_threads) = if serial_only {
-        let (p, inf, w) = sweep(scale, 1, search, fabric, &faults, engine, lanes)?;
+        let (p, inf, w) = sweep(scale, 1, search, fabric, &faults, lanes)?;
         (p, inf, w, "serial", 1)
     } else {
         if compare {
-            let (_, _, w) = sweep(scale, 1, search, fabric, &faults, engine, lanes)?;
+            let (_, _, w) = sweep(scale, 1, search, fabric, &faults, lanes)?;
             serial_wall = Some(w);
         }
-        let (p, inf, w) = sweep(scale, threads, search, fabric, &faults, engine, lanes)?;
+        let (p, inf, w) = sweep(scale, threads, search, fabric, &faults, lanes)?;
         (p, inf, w, "parallel", threads)
     };
 
@@ -686,7 +653,7 @@ fn run(flags: Flags) -> Result<(), String> {
     j.push_str(&format!("  \"scale\": \"{scale_name}\",\n"));
     j.push_str(&format!("  \"seed\": {SEED},\n"));
     j.push_str(&format!("  \"fabric\": \"{fabric}\",\n"));
-    j.push_str(&format!("  \"engine\": \"{engine}\",\n"));
+    j.push_str(&format!("  \"engine\": \"{ENGINE}\",\n"));
     if lanes > 1 {
         j.push_str(&format!("  \"lanes\": {lanes},\n"));
     }
@@ -798,9 +765,32 @@ fn run(flags: Flags) -> Result<(), String> {
             fresh_wall,
             scale_name,
             &fabric.to_string(),
-            &engine.to_string(),
+            ENGINE,
             wall_tolerance,
         )?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn snapshot(engine: &str) -> Snapshot {
+        Snapshot {
+            points: Vec::new(),
+            wall_ms: 0.0,
+            scale: "small".to_string(),
+            fabric: "4x4".to_string(),
+            engine: engine.to_string(),
+        }
+    }
+
+    #[test]
+    fn gate_refuses_a_baseline_from_another_engine() {
+        let err = check_comparable("B.json", &snapshot("heap"), "small", "4x4", ENGINE)
+            .expect_err("a heap baseline is not comparable");
+        assert!(err.contains("heap engine"), "{err}");
+        assert!(check_comparable("B.json", &snapshot("wheel"), "small", "4x4", ENGINE).is_ok());
+    }
 }

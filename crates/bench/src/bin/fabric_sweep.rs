@@ -341,7 +341,7 @@ fn tenancy_experiment(
                     max_cycles: args.max_cycles,
                 })
                 .collect();
-            let report = run_tenancy(host.rows as u8, host.cols as u8, &jobs, Default::default())
+            let report = run_tenancy(host.rows as u8, host.cols as u8, &jobs)
                 .map_err(|e| format!("tenancy on {ptag} at {host}: {e}"))?;
             // Every tenant must complete AND bit-match its solo run.
             let mut tenants = Vec::new();

@@ -16,18 +16,13 @@
 //!             [--fault-counts 0,1,2,4] [--fault-seeds N]
 //!             [--fault SPEC]... [--max-cycles N]
 //!             [--out BENCH_fault.json] [--check BENCH_sim.json]
-//!             [--engine wheel|heap] [--trace FILE]
+//!             [--trace FILE]
 //! ```
 //!
 //! `--trace FILE` attaches the cycle tracer and writes a Chrome
 //! trace-event JSON (Perfetto-viewable, with a `remap after …` marker
 //! on healed points) — the sweep must be narrowed to exactly one point
 //! with `--kernels`, `--presets`, `--fault-counts` and `--fault-seeds`.
-//!
-//! `--engine wheel|heap` pins the simulator's event-queue core for every
-//! point (default wheel); fault delivery is engine-independent, so the
-//! degradation curves and the 0-fault identity gate must come out the
-//! same either way.
 //!
 //! `--fault SPEC` pins explicit faults (`pe:R,C`, `link:R,C-R,C`,
 //! `flaky:R,C-R,C@MULT`) under every point on top of the seeded-random
@@ -48,10 +43,8 @@ use marionette::experiments::geomean;
 use marionette::kernels::traits::Scale;
 use marionette::parallel::{par_map, sweep_threads};
 use marionette::report::json_escape;
-use marionette::runner::{
-    run_kernel_faulted_traced, run_kernel_faulted_with_engine, RunnerError, DEFAULT_MAX_CYCLES,
-};
-use marionette::sim::{EngineKind, FaultSet, Tracer};
+use marionette::runner::{run_kernel_faulted, RunnerError, DEFAULT_MAX_CYCLES};
+use marionette::sim::{FaultSet, Tracer};
 use marionette_bench::snapshot;
 use std::time::Instant;
 
@@ -68,7 +61,6 @@ struct Args {
     max_cycles: u64,
     out: String,
     check: Option<String>,
-    engine: EngineKind,
     trace: Option<String>,
 }
 
@@ -76,7 +68,7 @@ fn usage() -> String {
     "usage: fault_sweep [--presets vN,DF,M-PE,M-CN,M] [--kernels A,B] \
      [--scale tiny|small|paper] [--fabric RxC] [--fault-counts 0,1,2,4] \
      [--fault-seeds N] [--fault SPEC]... [--max-cycles N] [--out PATH] \
-     [--check BENCH_sim.json] [--engine wheel|heap] [--trace FILE]"
+     [--check BENCH_sim.json] [--trace FILE]"
         .to_string()
 }
 
@@ -91,7 +83,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--max-cycles",
     "--out",
     "--check",
-    "--engine",
     "--trace",
 ];
 
@@ -189,10 +180,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         },
         out: get("--out")?.unwrap_or_else(|| "BENCH_fault.json".to_string()),
         check: get("--check")?,
-        engine: match get("--engine")? {
-            None => EngineKind::default(),
-            Some(v) => v.parse().map_err(|e| format!("--engine: {e}"))?,
-        },
         trace: get("--trace")?,
     })
 }
@@ -317,28 +304,15 @@ fn measure(
         .map(|s| s.to_string())
         .collect::<Vec<_>>()
         .join("+");
-    let outcome = match tracer {
-        None => run_kernel_faulted_with_engine(
-            k.as_ref(),
-            arch,
-            args.scale,
-            SEED,
-            args.max_cycles,
-            &faults,
-            args.engine,
-        ),
-        Some(t) => run_kernel_faulted_traced(
-            k.as_ref(),
-            arch,
-            args.scale,
-            SEED,
-            args.max_cycles,
-            &faults,
-            args.engine,
-            t,
-        ),
-    };
-    match outcome {
+    match run_kernel_faulted(
+        k.as_ref(),
+        arch,
+        args.scale,
+        SEED,
+        args.max_cycles,
+        &faults,
+        tracer,
+    ) {
         Ok(fr) => Ok(Measured {
             kernel: tag,
             arch: arch.short.to_string(),
@@ -492,7 +466,8 @@ fn run(args: &Args, tags: Vec<String>, archs: Vec<Architecture>) -> Result<(), S
     ));
     j.push_str(&format!("  \"seed\": {SEED},\n"));
     j.push_str(&format!("  \"fabric\": \"{}\",\n", args.fabric));
-    j.push_str(&format!("  \"engine\": \"{}\",\n", args.engine));
+    // The event wheel is the only engine; the field keeps the schema.
+    j.push_str("  \"engine\": \"wheel\",\n");
     j.push_str(&format!(
         "  \"presets\": [{}],\n",
         preset_order

@@ -12,7 +12,7 @@
 //!               [--search MOVES[,RESTARTS]]
 //!               [--param NAME=VALUE]... [--max-cycles N]
 //!               [--fault SPEC]... [--faults N] [--fault-seed S]
-//!               [--engine wheel|heap] [--disasm] [--json PATH]
+//!               [--disasm] [--json PATH] [--trace PATH]
 //! ```
 //!
 //! `--fault SPEC` (repeatable: `pe:R,C`, `link:R,C-R,C`,
@@ -21,10 +21,6 @@
 //! bitstream wedged on a dead resource is re-mapped around the damage
 //! and the remap is bit-verified like any other run.
 //!
-//! `--engine` selects the simulator's event-scheduling core (the
-//! calendar-wheel default or the reference binary heap); both produce
-//! bit-identical results, so the flag exists to cross-check them.
-//!
 //! Parse and semantic errors are rendered with their source line and a
 //! caret. Exit codes: `0` verified on every preset, `1` any pipeline or
 //! verification failure, `2` usage errors.
@@ -32,10 +28,10 @@
 use marionette::arch::{Architecture, FabricDims};
 use marionette::cdfg::value::Value;
 use marionette::compiler::SearchBudget;
-use marionette::sim::{EngineKind, FaultSet};
+use marionette::sim::FaultSet;
 use marionette_lang::driver::{
-    frontend, reference, run_preset_engine, run_preset_engine_traced, run_preset_faulted_engine,
-    run_preset_faulted_engine_traced, DriverError, PresetRun, DEFAULT_MAX_CYCLES, INTERP_BUDGET,
+    frontend, reference, run_preset_faulted, DriverError, PresetRun, DEFAULT_MAX_CYCLES,
+    INTERP_BUDGET,
 };
 
 struct Args {
@@ -48,7 +44,6 @@ struct Args {
     fault_specs: Vec<String>,
     faults: usize,
     fault_seed: u64,
-    engine: EngineKind,
     disasm: bool,
     json: Option<String>,
     trace: Option<String>,
@@ -59,7 +54,7 @@ fn usage() -> String {
      [--search MOVES[,RESTARTS]] \
      [--param NAME=VALUE]... [--max-cycles N] \
      [--fault SPEC]... [--faults N] [--fault-seed S] \
-     [--engine wheel|heap] [--disasm] [--json PATH] [--trace PATH]"
+     [--disasm] [--json PATH] [--trace PATH]"
         .to_string()
 }
 
@@ -74,7 +69,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         fault_specs: Vec::new(),
         faults: 0,
         fault_seed: 1,
-        engine: EngineKind::default(),
         disasm: false,
         json: None,
         trace: None,
@@ -145,10 +139,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.fault_seed = v
                     .parse()
                     .map_err(|_| format!("--fault-seed must be numeric, got `{v}`"))?;
-            }
-            "--engine" => {
-                let v = value_of("--engine", &mut i)?;
-                args.engine = v.parse().map_err(|e| format!("--engine: {e}"))?;
             }
             "--disasm" => args.disasm = true,
             "--json" => args.json = Some(value_of("--json", &mut i)?),
@@ -399,66 +389,30 @@ fn run() -> Result<(), i32> {
                 base_seed: 0xA11E,
             };
         }
-        let fail1 = |e: DriverError| {
+        let fr = run_preset_faulted(
+            &g,
+            &r,
+            &arch,
+            &overrides,
+            args.max_cycles,
+            &faults,
+            tracer.as_mut(),
+        )
+        .map_err(|e: DriverError| {
             eprintln!("marc: {e}");
             1
+        })?;
+        let mut run = fr.run;
+        if args.disasm {
+            run.disasm = Some(marionette::isa::disasm::disassemble(&fr.compiled.prog));
+        }
+        let note = match &fr.wedged {
+            Some(w) => format!("  (wedged by {w}, remapped)"),
+            None => String::new(),
         };
-        let (run, note) = if faults.is_empty() {
-            let run = match tracer.as_mut() {
-                None => run_preset_engine(
-                    &g,
-                    &r,
-                    &arch,
-                    &overrides,
-                    args.max_cycles,
-                    args.disasm,
-                    args.engine,
-                )
-                .map_err(fail1)?,
-                Some(t) => run_preset_engine_traced(
-                    &g,
-                    &r,
-                    &arch,
-                    &overrides,
-                    args.max_cycles,
-                    args.disasm,
-                    args.engine,
-                    t,
-                )
-                .map_err(fail1)?,
-            };
-            (run, String::new())
-        } else {
-            let fr = match tracer.as_mut() {
-                None => run_preset_faulted_engine(
-                    &g,
-                    &r,
-                    &arch,
-                    &overrides,
-                    args.max_cycles,
-                    &faults,
-                    args.engine,
-                )
-                .map_err(fail1)?,
-                Some(t) => run_preset_faulted_engine_traced(
-                    &g,
-                    &r,
-                    &arch,
-                    &overrides,
-                    args.max_cycles,
-                    &faults,
-                    args.engine,
-                    t,
-                )
-                .map_err(fail1)?,
-            };
-            let note = match &fr.wedged {
-                Some(w) => format!("  (wedged by {w}, remapped)"),
-                None => String::new(),
-            };
-            fault_info.push((fr.wedged.clone(), fr.remapped));
-            (fr.run, note)
-        };
+        if !faults.is_empty() {
+            fault_info.push((fr.wedged, fr.remapped));
+        }
         println!(
             "marc: {:>5}  {:>10} cycles  {:>9} fires  {:>7} link-stall  {:>5} switch-stall  verified{note}",
             run.preset, run.cycles, run.fires, run.link_stall_cycles, run.switch_stall_cycles

@@ -33,12 +33,6 @@ const LOADGEN: &str = env!("CARGO_BIN_EXE_loadgen");
 const TRACE_DIFF: &str = env!("CARGO_BIN_EXE_trace_diff");
 
 #[test]
-fn bench_sim_rejects_duplicate_engine() {
-    let out = run(BENCH_SIM, &["--engine", "wheel", "--engine", "heap"]);
-    assert_usage_error(&out, "duplicate flag `--engine`", "bench_sim dup engine");
-}
-
-#[test]
 fn bench_sim_rejects_duplicate_lanes_and_zero_lanes() {
     let out = run(BENCH_SIM, &["--lanes", "2", "--lanes", "4"]);
     assert_usage_error(&out, "duplicate flag `--lanes`", "bench_sim dup lanes");
@@ -67,11 +61,20 @@ fn bench_sim_allows_repeated_fault_specs() {
 }
 
 #[test]
-fn marc_rejects_duplicate_engine_and_json() {
-    let out = run(MARC, &["--engine", "wheel", "--engine", "heap", "x.mar"]);
-    assert_usage_error(&out, "duplicate flag `--engine`", "marc dup engine");
+fn marc_rejects_duplicate_json() {
     let out = run(MARC, &["--json", "a.json", "--json", "b.json", "x.mar"]);
     assert_usage_error(&out, "duplicate flag `--json`", "marc dup json");
+}
+
+#[test]
+fn engine_flag_is_a_usage_error() {
+    // The event wheel is the only simulator core; the selector is gone.
+    let out = run(MARC, &["--engine", "wheel", "x.mar"]);
+    assert_usage_error(&out, "unknown flag `--engine`", "marc --engine");
+    let out = run(BENCH_SIM, &["--engine", "wheel"]);
+    assert_usage_error(&out, "unknown argument `--engine`", "bench_sim --engine");
+    let out = run(FAULT_SWEEP, &["--engine", "wheel"]);
+    assert_usage_error(&out, "unknown argument `--engine`", "fault_sweep --engine");
 }
 
 #[test]

@@ -18,8 +18,7 @@ use marionette_isa::MachineProgram;
 use marionette_kernels::traits::{Golden, Kernel, KernelError, Scale};
 use marionette_kernels::verify::check_vs_golden;
 use marionette_sim::{
-    run_full, run_full_traced, run_lanes_full, run_with_engine, EngineKind, FaultSet, LaneSpec,
-    RunResult, RunStats, SimError, Tracer,
+    run_full_traced, run_lanes, FaultSet, LaneSpec, RunResult, RunStats, SimError, Tracer,
 };
 use std::fmt;
 
@@ -51,6 +50,8 @@ pub enum RunnerError {
     Kernel(KernelError),
     /// Compilation failed.
     Compile(PlaceError),
+    /// The configuration bitstream did not decode back.
+    Bitstream(marionette_isa::bitstream::BitstreamError),
     /// Simulation failed.
     Sim(SimError),
     /// Outputs diverged from the golden reference.
@@ -78,6 +79,7 @@ impl fmt::Display for RunnerError {
         match self {
             RunnerError::Kernel(e) => write!(f, "kernel: {e}"),
             RunnerError::Compile(e) => write!(f, "compile: {e}"),
+            RunnerError::Bitstream(e) => write!(f, "bitstream: {e}"),
             RunnerError::Sim(e) => write!(f, "simulate: {e}"),
             RunnerError::Verification { what, first, count } => {
                 write!(f, "{what}: {count} mismatches, first: {first}")
@@ -182,6 +184,129 @@ pub fn compile_for_arch_in_region(
     compile_for_arch_with_faults(g, arch, &map.exclusion_mask(idx))
 }
 
+/// A compiled, bitstream-round-tripped program: what the simulator runs
+/// and what `mard`'s compile cache stores. `prog` is the *decoded* form
+/// of `bitstream`, so simulating it exercises exactly what a cold
+/// full-stack run would.
+#[derive(Clone, Debug)]
+pub struct Compiled {
+    /// Decoded machine program (what the simulator runs).
+    pub prog: MachineProgram,
+    /// Encoded configuration bitstream (decoding these bytes yields
+    /// `prog`).
+    pub bitstream: Vec<u8>,
+    /// Compilation report (route stats, search report).
+    pub report: CompileReport,
+}
+
+/// Compiles `g` for `arch` around `faults` ([`compile_for_arch_with_faults`])
+/// and round-trips the configuration bitstream: every simulated program
+/// is the decoded bitstream.
+///
+/// # Errors
+/// Returns [`RunnerError::Compile`] when the program cannot fit, or
+/// [`RunnerError::Bitstream`] when the bitstream does not decode.
+pub fn compile_roundtrip(
+    g: &Cdfg,
+    arch: &Architecture,
+    faults: &FaultSet,
+) -> Result<Compiled, RunnerError> {
+    let (prog, report) = compile_for_arch_with_faults(g, arch, faults)?;
+    let bitstream = marionette_isa::bitstream::encode(&prog);
+    let prog = marionette_isa::bitstream::decode(&bitstream).map_err(RunnerError::Bitstream)?;
+    Ok(Compiled {
+        prog,
+        bitstream,
+        report,
+    })
+}
+
+/// What [`self_heal`] hands back: the program that survived fault
+/// screening, the resource that wedged the original mapping (when one
+/// did, the program is the remap) and its not-yet-verified run.
+#[derive(Clone, Debug)]
+pub struct Healed {
+    /// The surviving program and its compile report.
+    pub compiled: Compiled,
+    /// The faulted resource (fault-spec syntax, e.g. `pe:1,2`) that
+    /// wedged the fault-oblivious bitstream, when one did.
+    pub wedged: Option<String>,
+    /// The surviving program's run.
+    pub run: RunResult,
+}
+
+/// Where [`self_heal`] stopped.
+#[derive(Debug)]
+pub enum HealError<E> {
+    /// The fault-aware remap did not compile: the caller's compile
+    /// error, which a placement failure makes the typed "remap
+    /// infeasible" outcome.
+    Remap(E),
+    /// A simulation failed with anything but the first run's fault
+    /// screen.
+    Sim {
+        /// Whether the failing run was the remap's.
+        remapped: bool,
+        /// The simulator's error.
+        e: SimError,
+    },
+}
+
+/// The self-healing remap policy, shared by every layer that runs on a
+/// faulted fabric (kernel runner, `.mar` driver, fuzz diff, `mard`):
+///
+/// 1. simulate the fault-oblivious, round-tripped `compiled`;
+/// 2. only if the simulator screens it out with a typed
+///    [`SimError::Fault`], mark `remap after <resource>` on `tracer`,
+///    force the annealing explorer on for a one-shot preset (the greedy
+///    placer alone cannot rebalance around arbitrary dead tiles), and
+///    hand that architecture to `remap` — which recompiles with the
+///    faults masked and round-trips the bitstream, normally via
+///    [`compile_roundtrip`];
+/// 3. simulate the remap.
+///
+/// The steps are closures so callers can time them apart or map their
+/// errors; verifying the surviving run stays with the caller (kernel
+/// golden, interpreter reference). With an empty fault set no
+/// [`SimError::Fault`] can occur, so this is one plain simulation.
+///
+/// # Errors
+/// [`HealError::Remap`] when the remap does not compile,
+/// [`HealError::Sim`] when a simulation fails otherwise.
+pub fn self_heal<E>(
+    arch: &Architecture,
+    compiled: Compiled,
+    mut tracer: Option<&mut Tracer>,
+    mut simulate: impl FnMut(&Compiled, Option<&mut Tracer>) -> Result<RunResult, SimError>,
+    remap: impl FnOnce(&Architecture) -> Result<Compiled, E>,
+) -> Result<Healed, HealError<E>> {
+    let wedged = match simulate(&compiled, tracer.as_deref_mut()) {
+        Ok(run) => {
+            return Ok(Healed {
+                compiled,
+                wedged: None,
+                run,
+            })
+        }
+        Err(SimError::Fault { what, .. }) => what,
+        Err(e) => return Err(HealError::Sim { remapped: false, e }),
+    };
+    if let Some(t) = tracer.as_deref_mut() {
+        t.mark(0, &format!("remap after {wedged}"));
+    }
+    let mut healed = arch.clone();
+    if !healed.opts.search.is_on() {
+        healed.opts.search = SearchBudget::default_on();
+    }
+    let compiled = remap(&healed).map_err(HealError::Remap)?;
+    let run = simulate(&compiled, tracer).map_err(|e| HealError::Sim { remapped: true, e })?;
+    Ok(Healed {
+        compiled,
+        wedged: Some(wedged),
+        run,
+    })
+}
+
 /// Compiles and simulates `kernel` on `arch`, verifying outputs against
 /// the golden reference. The ISA bitstream round-trip is exercised on
 /// every call: the simulator runs the *decoded* program.
@@ -196,99 +321,16 @@ pub fn run_kernel(
     seed: u64,
     max_cycles: u64,
 ) -> Result<KernelRun, RunnerError> {
-    run_kernel_with_engine(kernel, arch, scale, seed, max_cycles, EngineKind::default())
-}
-
-/// [`run_kernel`] with an explicit simulator [`EngineKind`]. Both
-/// engines are bit-identical (pinned by
-/// `crates/core/tests/engine_equivalence.rs`); the selector exists so
-/// differential harnesses and the `--engine` CLI axes can pin either
-/// core explicitly.
-///
-/// # Errors
-/// Returns [`RunnerError`] on compile/simulation failure or output
-/// mismatch.
-pub fn run_kernel_with_engine(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    scale: Scale,
-    seed: u64,
-    max_cycles: u64,
-    engine: EngineKind,
-) -> Result<KernelRun, RunnerError> {
-    let wl = kernel.workload(scale, seed);
-    let golden = kernel.golden(&wl)?;
-    let g = kernel.build(&wl)?;
-    let (prog, report) = compile_for_arch(&g, arch)?;
-    // Full-stack fidelity: serialize to the configuration bitstream and
-    // run the decoded program.
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    let r = run_with_engine(&prog, &arch.tm, engine, &inputs, &[], max_cycles)?;
-    verify_golden(kernel, arch, &g, &golden, &r)?;
-    Ok(KernelRun {
-        arch: arch.short.to_string(),
-        kernel: kernel.short().to_string(),
-        cycles: r.stats.cycles,
-        stats: r.stats,
-        report,
-        verified: true,
-    })
-}
-
-/// [`run_kernel_with_engine`] with a [`Tracer`] recording the
-/// cycle-accurate event stream ([`marionette_sim::trace`]). The traced
-/// run is bit-identical to the untraced one — same cycles, same stats,
-/// same outputs — which `crates/core/tests/trace_plane.rs` pins.
-///
-/// # Errors
-/// Returns [`RunnerError`] on compile/simulation failure or output
-/// mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel_traced(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    scale: Scale,
-    seed: u64,
-    max_cycles: u64,
-    engine: EngineKind,
-    tracer: &mut Tracer,
-) -> Result<KernelRun, RunnerError> {
-    let wl = kernel.workload(scale, seed);
-    let golden = kernel.golden(&wl)?;
-    let g = kernel.build(&wl)?;
-    let (prog, report) = compile_for_arch(&g, arch)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    let r = run_full_traced(
-        &prog,
-        &arch.tm,
-        &FaultSet::none(),
-        engine,
-        &inputs,
-        &[],
+    run_kernel_faulted(
+        kernel,
+        arch,
+        scale,
+        seed,
         max_cycles,
-        tracer,
-    )?;
-    verify_golden(kernel, arch, &g, &golden, &r)?;
-    Ok(KernelRun {
-        arch: arch.short.to_string(),
-        kernel: kernel.short().to_string(),
-        cycles: r.stats.cycles,
-        stats: r.stats,
-        report,
-        verified: true,
-    })
+        &FaultSet::none(),
+        None,
+    )
+    .map(|fr| fr.run)
 }
 
 /// Compiles `kernel` **once** and simulates one lane per seed in a
@@ -312,29 +354,6 @@ pub fn run_kernel_lanes(
     seeds: &[u64],
     max_cycles: u64,
 ) -> Result<Vec<Result<KernelRun, RunnerError>>, RunnerError> {
-    run_kernel_lanes_with_engine(
-        kernel,
-        arch,
-        scale,
-        seeds,
-        max_cycles,
-        EngineKind::default(),
-    )
-}
-
-/// [`run_kernel_lanes`] with an explicit simulator [`EngineKind`].
-///
-/// # Errors
-/// As [`run_kernel_lanes`]: outer `Err` for the shared stages, inner
-/// per-lane errors otherwise.
-pub fn run_kernel_lanes_with_engine(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    scale: Scale,
-    seeds: &[u64],
-    max_cycles: u64,
-    engine: EngineKind,
-) -> Result<Vec<Result<KernelRun, RunnerError>>, RunnerError> {
     if seeds.is_empty() {
         return Ok(Vec::new());
     }
@@ -345,8 +364,7 @@ pub fn run_kernel_lanes_with_engine(
         let g = kernel.build(&wl)?;
         per_seed.push((g, golden));
     }
-    let (prog, report) = compile_for_arch(&per_seed[0].0, arch)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
+    let compiled = compile_roundtrip(&per_seed[0].0, arch, &FaultSet::none())?;
     // All lanes execute lane 0's bitstream, so every other lane's graph
     // must compile to the very same bytes. Kernels that unroll workload
     // values into immediates (e.g. Conv-1d's filter taps) fail this for
@@ -357,49 +375,55 @@ pub fn run_kernel_lanes_with_engine(
             continue; // identical workload, identical program
         }
         let (pi, _) = compile_for_arch(g, arch)?;
-        if marionette_isa::bitstream::encode(&pi) != bytes {
+        if marionette_isa::bitstream::encode(&pi) != compiled.bitstream {
             return Err(RunnerError::NotBatchable {
                 what: format!("{} on {}", kernel.name(), arch.name),
                 lane,
             });
         }
     }
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
     let lanes: Vec<LaneSpec> = per_seed
         .iter()
         .map(|(g, _)| LaneSpec {
-            inputs: g
-                .arrays
-                .iter()
-                .map(|a| (a.name.clone(), a.init.clone()))
-                .collect(),
+            inputs: cdfg_inputs(g),
             params: Vec::new(),
         })
         .collect();
-    let results = run_lanes_full(
-        &prog,
-        &arch.tm,
-        &FaultSet::none(),
-        engine,
-        &lanes,
-        max_cycles,
-    )?;
+    let results = run_lanes(&compiled.prog, &arch.tm, &lanes, max_cycles)?;
     Ok(results
         .into_iter()
         .zip(&per_seed)
         .map(|(r, (g, golden))| {
             let r = r?;
             verify_golden(kernel, arch, g, golden, &r)?;
-            Ok(KernelRun {
-                arch: arch.short.to_string(),
-                kernel: kernel.short().to_string(),
-                cycles: r.stats.cycles,
-                stats: r.stats,
-                report: report.clone(),
-                verified: true,
-            })
+            Ok(kernel_run(kernel, arch, r, compiled.report.clone()))
         })
         .collect())
+}
+
+/// The simulator's initial array contents for a kernel's graph.
+fn cdfg_inputs(g: &Cdfg) -> Vec<(String, Vec<Value>)> {
+    g.arrays
+        .iter()
+        .map(|a| (a.name.clone(), a.init.clone()))
+        .collect()
+}
+
+/// A verified run's measurement.
+fn kernel_run(
+    kernel: &dyn Kernel,
+    arch: &Architecture,
+    r: RunResult,
+    report: CompileReport,
+) -> KernelRun {
+    KernelRun {
+        arch: arch.short.to_string(),
+        kernel: kernel.short().to_string(),
+        cycles: r.stats.cycles,
+        stats: r.stats,
+        report,
+        verified: true,
+    }
 }
 
 /// Bit-compares one run against the kernel's golden reference (arrays,
@@ -444,20 +468,20 @@ pub struct FaultKernelRun {
 }
 
 /// Runs `kernel` on `arch` with `faults` injected, self-healing by remap
-/// when the fault-oblivious bitstream touches a dead resource:
+/// ([`self_heal`]) when the fault-oblivious bitstream touches a dead
+/// resource, then bit-verifies the surviving run against the golden
+/// reference — the same oracle [`run_kernel`] applies.
 ///
-/// 1. compile normally and simulate with the faults injected;
-/// 2. on a typed [`SimError::Fault`], recompile with the faulty
-///    resources masked (forcing the annealing explorer on, so operators
-///    can move off dead tiles) and simulate the remap;
-/// 3. either way, bit-verify the surviving run against the golden
-///    reference — the same oracle [`run_kernel`] applies.
+/// With a `tracer`, both simulations are recorded and a wedged bitstream
+/// leaves a `remap after <resource>` marker on the trace's marks track,
+/// so a healthy-vs-remapped `trace_diff` can anchor on the heal point.
+/// The traced run is bit-identical to the untraced one.
 ///
-/// With an empty `faults` this is bit-identical to [`run_kernel`]. A
-/// remap that still cannot fit surfaces as [`RunnerError::Compile`] —
-/// the typed "remap infeasible" outcome degradation sweeps count as a
-/// failure (the healthy compile of every shipped kernel × preset
-/// succeeds, so a compile error here always means the remap).
+/// With an empty `faults` this is [`run_kernel`]. A remap that still
+/// cannot fit surfaces as [`RunnerError::Compile`] — the typed "remap
+/// infeasible" outcome degradation sweeps count as a failure (the
+/// healthy compile of every shipped kernel × preset succeeds, so a
+/// compile error here always means the remap).
 ///
 /// # Errors
 /// Returns [`RunnerError`] on compile/simulation failure (of whichever
@@ -469,178 +493,29 @@ pub fn run_kernel_faulted(
     seed: u64,
     max_cycles: u64,
     faults: &FaultSet,
+    tracer: Option<&mut Tracer>,
 ) -> Result<FaultKernelRun, RunnerError> {
-    run_kernel_faulted_with_engine(
-        kernel,
+    let wl = kernel.workload(scale, seed);
+    let golden = kernel.golden(&wl)?;
+    let g = kernel.build(&wl)?;
+    let inputs = cdfg_inputs(&g);
+    let first = compile_roundtrip(&g, arch, &FaultSet::none())?;
+    let healed = self_heal(
         arch,
-        scale,
-        seed,
-        max_cycles,
-        faults,
-        EngineKind::default(),
+        first,
+        tracer,
+        |c, t| run_full_traced(&c.prog, &arch.tm, faults, &inputs, &[], max_cycles, t),
+        |healed| compile_roundtrip(&g, healed, faults),
     )
-}
-
-/// [`run_kernel_faulted`] with an explicit simulator [`EngineKind`] —
-/// fault delivery (dead-resource screening, flaky-link stretches, the
-/// self-healing remap) is engine-independent, and this selector lets the
-/// fault harnesses pin either core.
-///
-/// # Errors
-/// As [`run_kernel_faulted`].
-pub fn run_kernel_faulted_with_engine(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    scale: Scale,
-    seed: u64,
-    max_cycles: u64,
-    faults: &FaultSet,
-    engine: EngineKind,
-) -> Result<FaultKernelRun, RunnerError> {
-    let wl = kernel.workload(scale, seed);
-    let golden = kernel.golden(&wl)?;
-    let g = kernel.build(&wl)?;
-    let (prog, report) = compile_for_arch(&g, arch)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    let wedged = match run_full(&prog, &arch.tm, faults, engine, &inputs, &[], max_cycles) {
-        Ok(r) => {
-            verify_golden(kernel, arch, &g, &golden, &r)?;
-            return Ok(FaultKernelRun {
-                wedged: None,
-                remapped: false,
-                run: KernelRun {
-                    arch: arch.short.to_string(),
-                    kernel: kernel.short().to_string(),
-                    cycles: r.stats.cycles,
-                    stats: r.stats,
-                    report,
-                    verified: true,
-                },
-            });
-        }
-        Err(SimError::Fault { what, .. }) => what,
-        Err(e) => return Err(RunnerError::Sim(e)),
-    };
-    // Self-heal: recompile with the faulty resources masked. Presets
-    // that compile one-shot get the default annealing budget — the
-    // greedy placer alone cannot rebalance around arbitrary dead tiles.
-    let mut healed = arch.clone();
-    if !healed.opts.search.is_on() {
-        healed.opts.search = SearchBudget::default_on();
-    }
-    let (prog, report) = compile_for_arch_with_faults(&g, &healed, faults)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
-    let r = run_full(&prog, &arch.tm, faults, engine, &inputs, &[], max_cycles)?;
-    verify_golden(kernel, arch, &g, &golden, &r)?;
+    .map_err(|e| match e {
+        HealError::Remap(e) => e,
+        HealError::Sim { e, .. } => RunnerError::Sim(e),
+    })?;
+    verify_golden(kernel, arch, &g, &golden, &healed.run)?;
     Ok(FaultKernelRun {
-        wedged: Some(wedged),
-        remapped: true,
-        run: KernelRun {
-            arch: arch.short.to_string(),
-            kernel: kernel.short().to_string(),
-            cycles: r.stats.cycles,
-            stats: r.stats,
-            report,
-            verified: true,
-        },
-    })
-}
-
-/// [`run_kernel_faulted_with_engine`] with a [`Tracer`]: the surviving
-/// pipeline (original or self-healed remap) is simulated traced, and a
-/// wedged bitstream leaves a `remap after <resource>` marker on the
-/// trace's marks track, so a healthy-vs-remapped `trace_diff` can anchor
-/// on the heal point.
-///
-/// # Errors
-/// As [`run_kernel_faulted_with_engine`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_kernel_faulted_traced(
-    kernel: &dyn Kernel,
-    arch: &Architecture,
-    scale: Scale,
-    seed: u64,
-    max_cycles: u64,
-    faults: &FaultSet,
-    engine: EngineKind,
-    tracer: &mut Tracer,
-) -> Result<FaultKernelRun, RunnerError> {
-    let wl = kernel.workload(scale, seed);
-    let golden = kernel.golden(&wl)?;
-    let g = kernel.build(&wl)?;
-    let (prog, report) = compile_for_arch(&g, arch)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    let wedged = match run_full_traced(
-        &prog,
-        &arch.tm,
-        faults,
-        engine,
-        &inputs,
-        &[],
-        max_cycles,
-        tracer,
-    ) {
-        Ok(r) => {
-            verify_golden(kernel, arch, &g, &golden, &r)?;
-            return Ok(FaultKernelRun {
-                wedged: None,
-                remapped: false,
-                run: KernelRun {
-                    arch: arch.short.to_string(),
-                    kernel: kernel.short().to_string(),
-                    cycles: r.stats.cycles,
-                    stats: r.stats,
-                    report,
-                    verified: true,
-                },
-            });
-        }
-        Err(SimError::Fault { what, .. }) => what,
-        Err(e) => return Err(RunnerError::Sim(e)),
-    };
-    tracer.mark(0, &format!("remap after {wedged}"));
-    let mut healed = arch.clone();
-    if !healed.opts.search.is_on() {
-        healed.opts.search = SearchBudget::default_on();
-    }
-    let (prog, report) = compile_for_arch_with_faults(&g, &healed, faults)?;
-    let bytes = marionette_isa::bitstream::encode(&prog);
-    let prog = marionette_isa::bitstream::decode(&bytes).expect("bitstream roundtrip");
-    let r = run_full_traced(
-        &prog,
-        &arch.tm,
-        faults,
-        engine,
-        &inputs,
-        &[],
-        max_cycles,
-        tracer,
-    )?;
-    verify_golden(kernel, arch, &g, &golden, &r)?;
-    Ok(FaultKernelRun {
-        wedged: Some(wedged),
-        remapped: true,
-        run: KernelRun {
-            arch: arch.short.to_string(),
-            kernel: kernel.short().to_string(),
-            cycles: r.stats.cycles,
-            stats: r.stats,
-            report,
-            verified: true,
-        },
+        remapped: healed.wedged.is_some(),
+        wedged: healed.wedged,
+        run: kernel_run(kernel, arch, healed.run, healed.compiled.report),
     })
 }
 

@@ -9,9 +9,7 @@ use marionette::cdfg::value::Value;
 use marionette::compiler::compile;
 use marionette::kernels::traits::Scale;
 use marionette::runner::{run_kernel, run_kernel_lanes, RunnerError};
-use marionette::sim::{
-    run_full, run_lanes_full, EngineKind, FaultSet, LaneSpec, RunResult, SimError,
-};
+use marionette::sim::{run, run_lanes, run_lanes_full, FaultSet, LaneSpec, RunResult, SimError};
 
 const MAX_CYCLES: u64 = 500_000_000;
 
@@ -124,42 +122,24 @@ fn lane(inputs: &[(String, Vec<Value>)], n: i32) -> LaneSpec {
 }
 
 /// Per-lane parameter overrides, including a zero-trip loop, must match
-/// standalone runs bit for bit on both engines.
+/// standalone runs bit for bit.
 #[test]
 fn param_lanes_including_zero_trip_match_serial() {
     let (prog, arch, inputs) = param_sum_prog();
     let trips = [4i32, 0, 16, 1, 0, 9];
     let lanes: Vec<LaneSpec> = trips.iter().map(|&n| lane(&inputs, n)).collect();
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let batched = run_lanes_full(
-            &prog,
-            &arch.tm,
-            &FaultSet::none(),
-            engine,
-            &lanes,
-            MAX_CYCLES,
-        )
-        .expect("machine constructs");
-        for (li, (r, spec)) in batched.iter().zip(&lanes).enumerate() {
-            let r = r.as_ref().unwrap_or_else(|e| panic!("lane {li}: {e}"));
-            let solo = run_full(
-                &prog,
-                &arch.tm,
-                &FaultSet::none(),
-                engine,
-                &spec.inputs,
-                &spec.params,
-                MAX_CYCLES,
-            )
+    let batched = run_lanes(&prog, &arch.tm, &lanes, MAX_CYCLES).expect("machine constructs");
+    for (li, (r, spec)) in batched.iter().zip(&lanes).enumerate() {
+        let r = r.as_ref().unwrap_or_else(|e| panic!("lane {li}: {e}"));
+        let solo = run(&prog, &arch.tm, &spec.inputs, &spec.params, MAX_CYCLES)
             .unwrap_or_else(|e| panic!("solo n={}: {e}", trips[li]));
-            assert_runs_identical(&format!("{engine} lane {li} (n={})", trips[li]), r, &solo);
-            // The zero-trip lanes really must sum nothing.
-            if trips[li] == 0 {
-                assert!(
-                    r.sinks["sum"].iter().all(|v| v.bit_eq(Value::I32(0))),
-                    "zero-trip lane {li} produced a nonzero sum"
-                );
-            }
+        assert_runs_identical(&format!("lane {li} (n={})", trips[li]), r, &solo);
+        // The zero-trip lanes really must sum nothing.
+        if trips[li] == 0 {
+            assert!(
+                r.sinks["sum"].iter().all(|v| v.bit_eq(Value::I32(0))),
+                "zero-trip lane {li} produced a nonzero sum"
+            );
         }
     }
 }
@@ -172,45 +152,26 @@ fn param_lanes_including_zero_trip_match_serial() {
 fn wedged_lane_does_not_poison_its_neighbours() {
     let (prog, arch, inputs) = param_sum_prog();
     // Find a budget that lets n=4 finish but wedges n=16 mid-run.
-    let short = run_full(
-        &prog,
-        &arch.tm,
-        &FaultSet::none(),
-        EngineKind::Wheel,
-        &inputs,
-        &[("n".to_string(), Value::I32(4))],
-        MAX_CYCLES,
-    )
-    .expect("n=4 runs")
-    .stats
-    .cycles;
+    let n4 = [("n".to_string(), Value::I32(4))];
+    let short = run(&prog, &arch.tm, &inputs, &n4, MAX_CYCLES)
+        .expect("n=4 runs")
+        .stats
+        .cycles;
     let budget = short + 2; // enough for n=4, nowhere near n=16
     let lanes = [lane(&inputs, 4), lane(&inputs, 16), lane(&inputs, 4)];
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let batched = run_lanes_full(&prog, &arch.tm, &FaultSet::none(), engine, &lanes, budget)
-            .expect("machine constructs");
-        assert_eq!(batched.len(), 3);
-        assert_eq!(
-            batched[1].as_ref().err(),
-            Some(&SimError::CycleLimit { limit: budget }),
-            "{engine}: the oversize lane must bust its budget"
-        );
-        let solo = run_full(
-            &prog,
-            &arch.tm,
-            &FaultSet::none(),
-            engine,
-            &inputs,
-            &[("n".to_string(), Value::I32(4))],
-            budget,
-        )
-        .expect("n=4 fits the budget");
-        for li in [0usize, 2] {
-            let r = batched[li]
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{engine} lane {li}: {e}"));
-            assert_runs_identical(&format!("{engine} lane {li} after wedge"), r, &solo);
-        }
+    let batched = run_lanes(&prog, &arch.tm, &lanes, budget).expect("machine constructs");
+    assert_eq!(batched.len(), 3);
+    assert_eq!(
+        batched[1].as_ref().err(),
+        Some(&SimError::CycleLimit { limit: budget }),
+        "the oversize lane must bust its budget"
+    );
+    let solo = run(&prog, &arch.tm, &inputs, &n4, budget).expect("n=4 fits the budget");
+    for li in [0usize, 2] {
+        let r = batched[li]
+            .as_ref()
+            .unwrap_or_else(|e| panic!("lane {li}: {e}"));
+        assert_runs_identical(&format!("lane {li} after wedge"), r, &solo);
     }
 }
 
@@ -223,15 +184,8 @@ fn dead_resource_is_an_outer_error_for_the_whole_batch() {
     let mut faults = FaultSet::new(arch.opts.rows, arch.opts.cols);
     faults.add("pe:0,0".parse().unwrap()).unwrap();
     let lanes = [lane(&inputs, 4), lane(&inputs, 2)];
-    let err = run_lanes_full(
-        &prog,
-        &arch.tm,
-        &faults,
-        EngineKind::Wheel,
-        &lanes,
-        MAX_CYCLES,
-    )
-    .expect_err("anchored program must wedge on the dead anchor tile");
+    let err = run_lanes_full(&prog, &arch.tm, &faults, &lanes, MAX_CYCLES)
+        .expect_err("anchored program must wedge on the dead anchor tile");
     match err {
         SimError::Fault { what, .. } => assert_eq!(what, "pe:0,0"),
         other => panic!("expected a typed fault, got {other}"),

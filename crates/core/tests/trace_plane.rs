@@ -2,18 +2,34 @@
 //!
 //! A traced run must be bit-identical to the untraced run it observes
 //! (same cycles, same full stats), the exported Chrome trace JSON must
-//! be byte-for-byte deterministic for a fixed seed + engine, both event
-//! cores must emit the same trace, and the committed example trace in
-//! `examples/traces/` must validate against the schema documented in
-//! `docs/OBSERVABILITY.md`.
+//! be byte-for-byte deterministic for a fixed seed, and the committed
+//! example trace in `examples/traces/` must validate against the schema
+//! documented in `docs/OBSERVABILITY.md`.
 
 use marionette::arch::marionette_full;
 use marionette::kernels::by_short;
+use marionette::kernels::traits::Kernel;
 use marionette::kernels::traits::Scale;
-use marionette::runner::{run_kernel_traced, run_kernel_with_engine};
-use marionette::sim::{trace, EngineKind, Tracer};
+use marionette::runner::{run_kernel, run_kernel_faulted, KernelRun};
+use marionette::sim::{trace, FaultSet, Tracer};
 
 const MAX_CYCLES: u64 = 500_000_000;
+
+/// `k` at Tiny scale, seed 7, on the full Marionette preset, recorded
+/// into `tracer`.
+fn traced_run(k: &dyn Kernel, tracer: &mut Tracer) -> KernelRun {
+    run_kernel_faulted(
+        k,
+        &marionette_full(),
+        Scale::Tiny,
+        7,
+        MAX_CYCLES,
+        &FaultSet::none(),
+        Some(tracer),
+    )
+    .expect("traced run")
+    .run
+}
 
 /// Tracing must not perturb the simulation: the traced run reports the
 /// same cycles and the same full stats (every per-PE, per-group, and
@@ -21,77 +37,28 @@ const MAX_CYCLES: u64 = 500_000_000;
 #[test]
 fn traced_run_is_bit_identical_to_untraced() {
     let k = by_short("CRC").expect("kernel tag");
-    let arch = marionette_full();
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let plain = run_kernel_with_engine(k.as_ref(), &arch, Scale::Tiny, 7, MAX_CYCLES, engine)
-            .expect("untraced run");
-        let mut tracer = Tracer::new();
-        let traced = run_kernel_traced(
-            k.as_ref(),
-            &arch,
-            Scale::Tiny,
-            7,
-            MAX_CYCLES,
-            engine,
-            &mut tracer,
-        )
-        .expect("traced run");
-        assert_eq!(plain.cycles, traced.cycles, "{engine}: cycles diverge");
-        assert_eq!(plain.stats, traced.stats, "{engine}: stats diverge");
-        assert!(traced.verified, "{engine}: traced run must still verify");
-        assert!(!tracer.is_empty(), "{engine}: tracer saw no events");
-    }
+    let plain = run_kernel(k.as_ref(), &marionette_full(), Scale::Tiny, 7, MAX_CYCLES)
+        .expect("untraced run");
+    let mut tracer = Tracer::new();
+    let traced = traced_run(k.as_ref(), &mut tracer);
+    assert_eq!(plain.cycles, traced.cycles, "cycles diverge");
+    assert_eq!(plain.stats, traced.stats, "stats diverge");
+    assert!(traced.verified, "traced run must still verify");
+    assert!(!tracer.is_empty(), "tracer saw no events");
 }
 
-/// Same kernel, seed, and engine ⇒ byte-identical trace JSON. The trace
-/// is evidence; it must not wobble between runs.
+/// Same kernel and seed ⇒ byte-identical trace JSON. The trace is
+/// evidence; it must not wobble between runs.
 #[test]
 fn trace_json_is_deterministic() {
     let k = by_short("CRC").expect("kernel tag");
-    let arch = marionette_full();
     let dump = || {
         let mut tracer = Tracer::new();
-        run_kernel_traced(
-            k.as_ref(),
-            &arch,
-            Scale::Tiny,
-            7,
-            MAX_CYCLES,
-            EngineKind::Wheel,
-            &mut tracer,
-        )
-        .expect("traced run");
+        traced_run(k.as_ref(), &mut tracer);
         tracer.to_chrome_json()
     };
     let (a, b) = (dump(), dump());
-    assert_eq!(a, b, "same seed + engine must produce identical bytes");
-}
-
-/// The two event cores are observationally identical, so they must emit
-/// the same trace — the cycle-level schedule, not just the end state.
-#[test]
-fn heap_and_wheel_traces_are_identical() {
-    let k = by_short("CRC").expect("kernel tag");
-    let arch = marionette_full();
-    let dump = |engine| {
-        let mut tracer = Tracer::new();
-        run_kernel_traced(
-            k.as_ref(),
-            &arch,
-            Scale::Tiny,
-            7,
-            MAX_CYCLES,
-            engine,
-            &mut tracer,
-        )
-        .expect("traced run");
-        tracer.to_chrome_json()
-    };
-    assert_eq!(
-        dump(EngineKind::Wheel),
-        dump(EngineKind::Heap),
-        "engines must trace identically"
-    );
+    assert_eq!(a, b, "same seed must produce identical bytes");
 }
 
 /// A fresh trace must round-trip through the parser the trace tooling
@@ -99,18 +66,8 @@ fn heap_and_wheel_traces_are_identical() {
 #[test]
 fn fresh_trace_parses_and_attributes_stalls() {
     let k = by_short("MS").expect("kernel tag");
-    let arch = marionette_full();
     let mut tracer = Tracer::new();
-    run_kernel_traced(
-        k.as_ref(),
-        &arch,
-        Scale::Tiny,
-        7,
-        MAX_CYCLES,
-        EngineKind::Wheel,
-        &mut tracer,
-    )
-    .expect("traced run");
+    traced_run(k.as_ref(), &mut tracer);
     let parsed = trace::parse(&tracer.to_chrome_json()).expect("fresh trace parses");
     assert_eq!(parsed.events.len(), tracer.len());
     assert!(parsed.last_cycle() > 0);

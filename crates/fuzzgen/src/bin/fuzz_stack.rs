@@ -7,17 +7,14 @@
 //!            [--max-stmts K] [--shrink] [--corpus-dir DIR]
 //!            [--json PATH] [--max-cycles C] [--no-fires] [--serial]
 //!            [--search MOVES[,RESTARTS]] [--source] [--fabric RxC]
-//!            [--faults N] [--fault SPEC]... [--engine wheel|heap]
-//!            [--lanes N]
+//!            [--faults N] [--fault SPEC]... [--lanes N]
 //! ```
 //!
-//! `--engine wheel|heap` pins the simulator's event-queue core (default
-//! wheel, the production engine); fuzzing under `--engine heap` is the
-//! cross-engine differential axis. `--lanes N` runs every program as N
-//! batched lanes of one machine ([`marionette::sim::run_lanes`]) and
-//! requires each lane to match the reference interpreter bit for bit —
-//! the axis that fuzzes machine reuse/reset across lanes. Both combine
-//! with neither `--source` nor fault injection.
+//! `--lanes N` runs every program as N batched lanes of one machine
+//! ([`marionette::sim::run_lanes`]) and requires each lane to match the
+//! reference interpreter bit for bit — the axis that fuzzes machine
+//! reuse/reset across lanes. It combines with neither `--source` nor
+//! fault injection.
 //!
 //! `--faults N` injects N seeded-random faults (dead PEs, dead links,
 //! flaky links — a fresh set per program seed) into every simulation and
@@ -43,7 +40,8 @@
 //! builder path, and the source-lowered graph is driven through the
 //! full stack on the same presets.
 //!
-//! Exit status is non-zero when any divergence was found. With
+//! Any other `--flag` is a usage error (exit 2). Exit status is 1 when
+//! any divergence was found. With
 //! `--shrink`, each divergence is reduced while it still reproduces and
 //! written to `--corpus-dir` (default `crates/fuzzgen/corpus/`) in the
 //! corpus text format, ready to commit as a regression.
@@ -53,10 +51,9 @@
 
 use marionette::arch::FabricDims;
 use marionette::parallel::{par_map, sweep_threads};
-use marionette::sim::{EngineKind, FaultSet};
+use marionette::sim::FaultSet;
 use marionette_fuzzgen::diff::{
-    all_presets_on, diff_program_engine, diff_program_faulted_engine, diff_program_lanes,
-    DEFAULT_MAX_CYCLES,
+    all_presets_on, diff_program, diff_program_faulted, diff_program_lanes, DEFAULT_MAX_CYCLES,
 };
 use marionette_fuzzgen::gen::{generate, GenConfig};
 use marionette_fuzzgen::shrink::shrink;
@@ -81,9 +78,29 @@ struct Args {
     fabric: FabricDims,
     faults: usize,
     fault_specs: Vec<String>,
-    engine: EngineKind,
     lanes: usize,
 }
+
+const KNOWN_FLAGS: &[&str] = &[
+    "--start",
+    "--count",
+    "--presets",
+    "--depth",
+    "--max-stmts",
+    "--shrink",
+    "--corpus-dir",
+    "--json",
+    "--max-cycles",
+    "--no-fires",
+    "--serial",
+    "--print-seed",
+    "--search",
+    "--source",
+    "--fabric",
+    "--faults",
+    "--fault",
+    "--lanes",
+];
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
@@ -94,6 +111,14 @@ fn parse_args() -> Args {
             .cloned()
     };
     let has = |flag: &str| argv.iter().any(|a| a == flag);
+    if let Some(bad) = argv
+        .iter()
+        .skip(1)
+        .find(|a| a.starts_with("--") && !KNOWN_FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("fuzz_stack: unknown flag `{bad}`");
+        std::process::exit(2);
+    }
     // `--fault` repeats; collect every occurrence.
     let fault_specs: Vec<String> = argv
         .iter()
@@ -165,13 +190,6 @@ fn parse_args() -> Args {
             }),
         },
         fault_specs,
-        engine: match get("--engine") {
-            None => EngineKind::default(),
-            Some(v) => v.parse().unwrap_or_else(|e| {
-                eprintln!("fuzz_stack: --engine: {e}");
-                std::process::exit(2);
-            }),
-        },
         lanes: match get("--lanes") {
             None => 1,
             Some(v) => match v.parse() {
@@ -239,10 +257,6 @@ fn main() {
         eprintln!("fuzz_stack: --lanes combines with neither --source nor fault injection");
         std::process::exit(2);
     }
-    if args.source && args.engine != EngineKind::default() {
-        eprintln!("fuzz_stack: --source runs on the default engine only");
-        std::process::exit(2);
-    }
     let cfg = GenConfig {
         max_depth: args.depth,
         max_stmts: args.max_stmts,
@@ -265,27 +279,13 @@ fn main() {
         let result = if have_faults {
             let mut faults = base_faults_ref.clone();
             faults.add_random(args.faults, seed);
-            diff_program_faulted_engine(
-                &p,
-                &presets,
-                args.max_cycles,
-                args.check_fires,
-                &faults,
-                args.engine,
-            )
+            diff_program_faulted(&p, &presets, args.max_cycles, args.check_fires, &faults)
         } else if args.source {
             diff_both(&p, &presets, args.max_cycles, args.check_fires)
         } else if args.lanes > 1 {
-            diff_program_lanes(
-                &p,
-                &presets,
-                args.max_cycles,
-                args.check_fires,
-                args.engine,
-                args.lanes,
-            )
+            diff_program_lanes(&p, &presets, args.max_cycles, args.check_fires, args.lanes)
         } else {
-            diff_program_engine(&p, &presets, args.max_cycles, args.check_fires, args.engine)
+            diff_program(&p, &presets, args.max_cycles, args.check_fires)
         };
         match result {
             Ok(s) => SeedOutcome {
@@ -329,30 +329,21 @@ fn main() {
             seed_faults.add_random(args.faults, f.seed);
             let still_fails = |q: &marionette_fuzzgen::Program| {
                 if have_faults {
-                    diff_program_faulted_engine(
+                    diff_program_faulted(
                         q,
                         &presets,
                         args.max_cycles,
                         args.check_fires,
                         &seed_faults,
-                        args.engine,
                     )
                     .err()
                 } else if args.source {
                     diff_both(q, &presets, args.max_cycles, args.check_fires).err()
                 } else if args.lanes > 1 {
-                    diff_program_lanes(
-                        q,
-                        &presets,
-                        args.max_cycles,
-                        args.check_fires,
-                        args.engine,
-                        args.lanes,
-                    )
-                    .err()
-                } else {
-                    diff_program_engine(q, &presets, args.max_cycles, args.check_fires, args.engine)
+                    diff_program_lanes(q, &presets, args.max_cycles, args.check_fires, args.lanes)
                         .err()
+                } else {
+                    diff_program(q, &presets, args.max_cycles, args.check_fires).err()
                 }
             };
             let full = generate(f.seed, &cfg);
@@ -403,7 +394,9 @@ fn main() {
             None => j.push_str("  \"search\": null,\n"),
         }
         j.push_str(&format!("  \"source_axis\": {},\n", args.source));
-        j.push_str(&format!("  \"engine\": \"{}\",\n", args.engine));
+        // The event wheel is the only engine; the field stays so existing
+        // snapshots and their readers keep their schema.
+        j.push_str("  \"engine\": \"wheel\",\n");
         j.push_str(&format!("  \"lanes\": {},\n", args.lanes));
         j.push_str(&format!("  \"faults\": {},\n", args.faults));
         j.push_str(&format!(
@@ -458,16 +451,15 @@ fn main() {
         String::new()
     };
     let lane_note = if args.lanes > 1 {
-        format!(" x {} lanes", args.lanes)
+        format!(" ({} lanes)", args.lanes)
     } else {
         String::new()
     };
     println!(
-        "fuzz_stack: {} programs x {} presets on {} ({} engine{}) = {} points, {} sim cycles, ~{:.0} nodes/program, {} divergences{}, {:.1} ms ({} threads)",
+        "fuzz_stack: {} programs x {} presets on {}{} = {} points, {} sim cycles, ~{:.0} nodes/program, {} divergences{}, {:.1} ms ({} threads)",
         outcomes.len(),
         presets.len(),
         args.fabric,
-        args.engine,
         lane_note,
         total_points,
         total_cycles,

@@ -5,7 +5,8 @@
 
 use crate::ast::Program;
 use crate::emit::emit;
-use marionette::sim::{run_lanes_full, EngineKind, FaultSet, LaneSpec};
+use marionette::runner::{compile_roundtrip, self_heal, HealError, RunnerError};
+use marionette::sim::{run_lanes, run_with_faults, FaultSet, LaneSpec};
 use marionette_arch::Architecture;
 use marionette_cdfg::interp::{interpret_with_budget, ExecMode, InterpResult};
 use marionette_cdfg::value::Value;
@@ -140,38 +141,7 @@ pub fn diff_program(
     max_cycles: u64,
     check_fires: bool,
 ) -> Result<DiffStats, Divergence> {
-    diff_program_engine(p, presets, max_cycles, check_fires, EngineKind::default())
-}
-
-/// [`diff_program`] with an explicit simulator [`EngineKind`] — the
-/// `fuzz_stack --engine` axis. Both engines must match the interpreter
-/// (and therefore each other) bit for bit.
-///
-/// # Errors
-/// Returns the first [`Divergence`] in preset order.
-pub fn diff_program_engine(
-    p: &Program,
-    presets: &[Architecture],
-    max_cycles: u64,
-    check_fires: bool,
-    engine: EngineKind,
-) -> Result<DiffStats, Divergence> {
-    let g = emit(p);
-    let reference = interp_pair(&g)?;
-    let mut stats = DiffStats {
-        nodes: g.nodes.len(),
-        ..DiffStats::default()
-    };
-    check_presets_engine(
-        &g,
-        &reference,
-        presets,
-        max_cycles,
-        check_fires,
-        engine,
-        &mut stats,
-    )?;
-    Ok(stats)
+    diff_program_faulted(p, presets, max_cycles, check_fires, &FaultSet::none())
 }
 
 /// Lane-batched differential check — the `fuzz_stack --lanes` axis.
@@ -190,7 +160,6 @@ pub fn diff_program_lanes(
     presets: &[Architecture],
     max_cycles: u64,
     check_fires: bool,
-    engine: EngineKind,
     lanes: usize,
 ) -> Result<DiffStats, Divergence> {
     let g = emit(p);
@@ -199,14 +168,9 @@ pub fn diff_program_lanes(
         nodes: g.nodes.len(),
         ..DiffStats::default()
     };
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
     let specs = vec![
         LaneSpec {
-            inputs: inputs.clone(),
+            inputs: cdfg_inputs(&g),
             params: Vec::new(),
         };
         lanes.max(1)
@@ -217,20 +181,11 @@ pub fn diff_program_lanes(
             kind,
             detail,
         };
-        let (prog, _) = marionette::compiler::compile_with_timing(&g, &arch.opts, &arch.tm)
-            .map_err(|e| fail(DivergenceKind::Compile, e.to_string()))?;
-        let bytes = marionette::isa::bitstream::encode(&prog);
-        let prog = marionette::isa::bitstream::decode(&bytes)
-            .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))?;
-        let results = run_lanes_full(
-            &prog,
-            &arch.tm,
-            &FaultSet::none(),
-            engine,
-            &specs,
-            max_cycles,
-        )
-        .map_err(|e| fail(DivergenceKind::Sim, e.to_string()))?;
+        let prog = compile_roundtrip(&g, arch, &FaultSet::none())
+            .map_err(|e| compile_divergence(arch, e))?
+            .prog;
+        let results = run_lanes(&prog, &arch.tm, &specs, max_cycles)
+            .map_err(|e| fail(DivergenceKind::Sim, e.to_string()))?;
         let mut lane0_cycles = None;
         for (li, r) in results.into_iter().enumerate() {
             let r = r.map_err(|e| fail(DivergenceKind::Sim, format!("lane {li}: {e}")))?;
@@ -282,66 +237,87 @@ pub(crate) fn interp_pair(g: &Cdfg) -> Result<RefPair, Divergence> {
     })
 }
 
-/// Runs `g` through compile → bitstream → simulate on each preset and
-/// bit-compares against the reference pair, accumulating into `stats`.
+/// Runs `g` through compile → bitstream round-trip → simulate on each
+/// preset with `faults` injected and bit-compares the run against the
+/// reference pair, accumulating into `stats`. A bitstream wedged on a
+/// dead resource is remapped by [`self_heal`]; a remap that cannot fit
+/// is counted in [`DiffStats::infeasible`].
 pub(crate) fn check_presets(
     g: &Cdfg,
     pair: &RefPair,
     presets: &[Architecture],
     max_cycles: u64,
     check_fires: bool,
+    faults: &FaultSet,
     stats: &mut DiffStats,
 ) -> Result<(), Divergence> {
-    check_presets_engine(
-        g,
-        pair,
-        presets,
-        max_cycles,
-        check_fires,
-        EngineKind::default(),
-        stats,
-    )
-}
-
-/// [`check_presets`] on an explicit simulator engine.
-pub(crate) fn check_presets_engine(
-    g: &Cdfg,
-    pair: &RefPair,
-    presets: &[Architecture],
-    max_cycles: u64,
-    check_fires: bool,
-    engine: EngineKind,
-    stats: &mut DiffStats,
-) -> Result<(), Divergence> {
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
+    let inputs = cdfg_inputs(g);
     for arch in presets {
         let fail = |kind: DivergenceKind, detail: String| Divergence {
             preset: arch.short.to_string(),
             kind,
             detail,
         };
-        // `compile_with_timing`: identical to `compile` when the preset's
-        // search budget is off, and the timing-derived cost model (the
-        // same one `runner::run_kernel` uses) when fuzzing with the
-        // mapping explorer enabled.
-        let (prog, _) = marionette::compiler::compile_with_timing(g, &arch.opts, &arch.tm)
-            .map_err(|e| fail(DivergenceKind::Compile, e.to_string()))?;
-        // Full-stack fidelity: simulate the decoded bitstream.
-        let bytes = marionette::isa::bitstream::encode(&prog);
-        let prog = marionette::isa::bitstream::decode(&bytes)
-            .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))?;
-        let r = marionette::sim::run_with_engine(&prog, &arch.tm, engine, &inputs, &[], max_cycles)
-            .map_err(|e| fail(DivergenceKind::Sim, e.to_string()))?;
-        verify_point(g, pair, arch, &prog, &r, check_fires)?;
+        // Full-stack fidelity: every simulated program is the decoded
+        // bitstream of the same compile `runner::run_kernel` uses.
+        let first = compile_roundtrip(g, arch, &FaultSet::none())
+            .map_err(|e| compile_divergence(arch, e))?;
+        let healed = match self_heal(
+            arch,
+            first,
+            None,
+            |c, _| run_with_faults(&c.prog, &arch.tm, faults, &inputs, &[], max_cycles),
+            |healed| compile_roundtrip(g, healed, faults),
+        ) {
+            Ok(h) => h,
+            // Typed remap-infeasible: accepted, not a divergence.
+            Err(HealError::Remap(RunnerError::Compile(_))) => {
+                stats.infeasible += 1;
+                continue;
+            }
+            Err(HealError::Remap(e)) => return Err(compile_divergence(arch, e)),
+            Err(HealError::Sim { remapped, e }) => {
+                let after = if remapped { "after remap: " } else { "" };
+                return Err(fail(DivergenceKind::Sim, format!("{after}{e}")));
+            }
+        };
+        verify_point(
+            g,
+            pair,
+            arch,
+            &healed.compiled.prog,
+            &healed.run,
+            check_fires,
+        )?;
+        if healed.wedged.is_some() {
+            stats.remaps += 1;
+        }
         stats.points += 1;
-        stats.cycles += r.stats.cycles;
-        stats.fires += r.stats.fires;
+        stats.cycles += healed.run.stats.cycles;
+        stats.fires += healed.run.stats.fires;
     }
     Ok(())
+}
+
+/// A failed compile or bitstream round-trip on `arch`, as a divergence.
+fn compile_divergence(arch: &Architecture, e: RunnerError) -> Divergence {
+    let (kind, detail) = match e {
+        RunnerError::Compile(e) => (DivergenceKind::Compile, e.to_string()),
+        e => (DivergenceKind::Bitstream, e.to_string()),
+    };
+    Divergence {
+        preset: arch.short.to_string(),
+        kind,
+        detail,
+    }
+}
+
+/// The simulator's initial array contents for a lowered graph.
+fn cdfg_inputs(g: &Cdfg) -> Vec<(String, Vec<Value>)> {
+    g.arrays
+        .iter()
+        .map(|a| (a.name.clone(), a.init.clone()))
+        .collect()
 }
 
 /// Bit-compares one preset's simulation against the reference pair:
@@ -426,31 +402,7 @@ pub fn diff_program_faulted(
     presets: &[Architecture],
     max_cycles: u64,
     check_fires: bool,
-    faults: &marionette::sim::FaultSet,
-) -> Result<DiffStats, Divergence> {
-    diff_program_faulted_engine(
-        p,
-        presets,
-        max_cycles,
-        check_fires,
-        faults,
-        EngineKind::default(),
-    )
-}
-
-/// [`diff_program_faulted`] with an explicit simulator [`EngineKind`] —
-/// faulted runs (including the far-future events flaky links schedule)
-/// must be engine-independent too.
-///
-/// # Errors
-/// Returns the first [`Divergence`] in preset order.
-pub fn diff_program_faulted_engine(
-    p: &Program,
-    presets: &[Architecture],
-    max_cycles: u64,
-    check_fires: bool,
-    faults: &marionette::sim::FaultSet,
-    engine: EngineKind,
+    faults: &FaultSet,
 ) -> Result<DiffStats, Divergence> {
     let g = emit(p);
     let pair = interp_pair(&g)?;
@@ -458,75 +410,15 @@ pub fn diff_program_faulted_engine(
         nodes: g.nodes.len(),
         ..DiffStats::default()
     };
-    let inputs: Vec<(String, Vec<Value>)> = g
-        .arrays
-        .iter()
-        .map(|a| (a.name.clone(), a.init.clone()))
-        .collect();
-    for arch in presets {
-        let fail = |kind: DivergenceKind, detail: String| Divergence {
-            preset: arch.short.to_string(),
-            kind,
-            detail,
-        };
-        let (prog, _) = marionette::compiler::compile_with_timing(&g, &arch.opts, &arch.tm)
-            .map_err(|e| fail(DivergenceKind::Compile, e.to_string()))?;
-        let bytes = marionette::isa::bitstream::encode(&prog);
-        let prog = marionette::isa::bitstream::decode(&bytes)
-            .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))?;
-        let r = match marionette::sim::run_full(
-            &prog,
-            &arch.tm,
-            faults,
-            engine,
-            &inputs,
-            &[],
-            max_cycles,
-        ) {
-            Ok(r) => r,
-            Err(marionette::sim::SimError::Fault { .. }) => {
-                // Wedged: re-map around the faults, explorer forced on.
-                let mut opts = arch.opts;
-                if !opts.search.is_on() {
-                    opts.search = marionette::compiler::SearchBudget::default_on();
-                }
-                let prog2 = match marionette::compiler::compile_with_timing_and_faults(
-                    &g, &opts, &arch.tm, faults,
-                ) {
-                    Ok((p2, _)) => p2,
-                    Err(_) => {
-                        // Typed remap-infeasible: accepted, not a divergence.
-                        stats.infeasible += 1;
-                        continue;
-                    }
-                };
-                let bytes = marionette::isa::bitstream::encode(&prog2);
-                let prog2 = marionette::isa::bitstream::decode(&bytes)
-                    .map_err(|e| fail(DivergenceKind::Bitstream, e.to_string()))?;
-                let r2 = marionette::sim::run_full(
-                    &prog2,
-                    &arch.tm,
-                    faults,
-                    engine,
-                    &inputs,
-                    &[],
-                    max_cycles,
-                )
-                .map_err(|e| fail(DivergenceKind::Sim, format!("after remap: {e}")))?;
-                verify_point(&g, &pair, arch, &prog2, &r2, check_fires)?;
-                stats.remaps += 1;
-                stats.points += 1;
-                stats.cycles += r2.stats.cycles;
-                stats.fires += r2.stats.fires;
-                continue;
-            }
-            Err(e) => return Err(fail(DivergenceKind::Sim, e.to_string())),
-        };
-        verify_point(&g, &pair, arch, &prog, &r, check_fires)?;
-        stats.points += 1;
-        stats.cycles += r.stats.cycles;
-        stats.fires += r.stats.fires;
-    }
+    check_presets(
+        &g,
+        &pair,
+        presets,
+        max_cycles,
+        check_fires,
+        faults,
+        &mut stats,
+    )?;
     Ok(stats)
 }
 

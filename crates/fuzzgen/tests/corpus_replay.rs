@@ -1,10 +1,8 @@
 //! Regression-corpus replay and a fixed-seed differential smoke sweep,
 //! both part of the ordinary `cargo test` run.
 
-use marionette::sim::EngineKind;
 use marionette_fuzzgen::diff::{
-    all_presets, diff_program, diff_program_engine, diff_program_lanes, presets_by_tags,
-    DEFAULT_MAX_CYCLES,
+    all_presets, diff_program, diff_program_lanes, presets_by_tags, DEFAULT_MAX_CYCLES,
 };
 use marionette_fuzzgen::gen::{generate, GenConfig};
 use marionette_fuzzgen::source::diff_both;
@@ -60,29 +58,15 @@ fn corpus_is_nonempty_and_parses() {
 
 #[test]
 fn corpus_replays_divergence_free_on_all_presets() {
-    // `diff_both` replays each regression on the builder axis *and* the
-    // `.mar` source axis, so corpus entries shrunk from a
-    // `fuzz_stack --source` failure keep pinning their failing axis.
+    // `diff_both` replays each regression on the builder axis (exactly
+    // `diff_program`) *and* the `.mar` source axis, so corpus entries
+    // shrunk from a `fuzz_stack --source` failure keep pinning their
+    // failing axis.
     let presets = all_presets();
     for (name, p) in corpus_entries() {
         let stats = diff_both(&p, &presets, DEFAULT_MAX_CYCLES, true)
             .unwrap_or_else(|d| panic!("{name}: {d}"));
         assert_eq!(stats.points, 2 * presets.len(), "{name}: preset skipped");
-    }
-}
-
-#[test]
-fn corpus_replays_divergence_free_on_both_engines() {
-    // Every committed regression, replayed under the wheel (default)
-    // and the reference heap core: a corpus entry that ever exposes an
-    // engine-dependent result is exactly the regression this suite
-    // exists to catch.
-    let presets = all_presets();
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        for (name, p) in corpus_entries() {
-            diff_program_engine(&p, &presets, DEFAULT_MAX_CYCLES, true, engine)
-                .unwrap_or_else(|d| panic!("{name} ({engine}): {d}"));
-        }
     }
 }
 
@@ -93,15 +77,8 @@ fn corpus_replays_divergence_free_lane_batched() {
     // exactly lane 0's cycle count.
     let presets = all_presets();
     for (name, p) in corpus_entries() {
-        diff_program_lanes(
-            &p,
-            &presets,
-            DEFAULT_MAX_CYCLES,
-            true,
-            EngineKind::default(),
-            3,
-        )
-        .unwrap_or_else(|d| panic!("{name}: {d}"));
+        diff_program_lanes(&p, &presets, DEFAULT_MAX_CYCLES, true, 3)
+            .unwrap_or_else(|d| panic!("{name}: {d}"));
     }
 }
 

@@ -9,7 +9,8 @@ use crate::diag::Diagnostic;
 use crate::lower::lower;
 use crate::parser::parse;
 use crate::sema::check;
-use marionette::runner::{compile_for_arch, compile_for_arch_with_faults};
+use marionette::runner::{compile_roundtrip, self_heal, HealError, RunnerError};
+use marionette::sim::{EngineKind, FaultSet, Tracer};
 use marionette_arch::Architecture;
 use marionette_cdfg::interp::{interpret_with_budget, ExecMode, InterpError, InterpResult};
 use marionette_cdfg::value::{compare_sink_maps as compare_sinks, stream_mismatch, Value};
@@ -175,18 +176,24 @@ pub struct PresetRun {
 }
 
 /// A compiled, bitstream-round-tripped preset artifact: the unit the
-/// `mard` content-addressed cache stores and replays. The program held
-/// here is the *decoded* form of `bitstream`, so a consumer simulating
-/// `prog` exercises exactly what a cold full-stack run would.
-#[derive(Clone, Debug)]
-pub struct Compiled {
-    /// Decoded machine program (what the simulator runs).
-    pub prog: marionette::isa::MachineProgram,
-    /// Encoded configuration bitstream (what a cache persists; decoding
-    /// these bytes yields `prog`).
-    pub bitstream: Vec<u8>,
-    /// Compilation report (route stats, search report).
-    pub report: marionette::compiler::CompileReport,
+/// `mard` content-addressed cache stores and replays.
+pub use marionette::runner::Compiled;
+
+/// Compiles `g` for `arch` around `faults` and round-trips the
+/// configuration bitstream, with the driver's typed errors.
+fn compile_around(
+    g: &Cdfg,
+    arch: &Architecture,
+    faults: &FaultSet,
+) -> Result<Compiled, DriverError> {
+    let preset = arch.short.to_string();
+    compile_roundtrip(g, arch, faults).map_err(|e| match e {
+        RunnerError::Compile(e) => DriverError::Compile { preset, e },
+        e => DriverError::Bitstream {
+            preset,
+            detail: e.to_string(),
+        },
+    })
 }
 
 /// Compiles `g` for `arch` and round-trips the configuration bitstream,
@@ -196,58 +203,15 @@ pub struct Compiled {
 /// # Errors
 /// Returns [`DriverError::Compile`] or [`DriverError::Bitstream`].
 pub fn compile_preset(g: &Cdfg, arch: &Architecture) -> Result<Compiled, DriverError> {
-    let preset = arch.short.to_string();
-    let (prog, report) = compile_for_arch(g, arch).map_err(|e| DriverError::Compile {
-        preset: preset.clone(),
-        e,
-    })?;
-    let bitstream = marionette::isa::bitstream::encode(&prog);
-    let prog = roundtrip_bitstream(&prog, &preset)?;
-    Ok(Compiled {
-        prog,
-        bitstream,
-        report,
-    })
-}
-
-/// Fault-aware variant of [`compile_preset`]: dead resources are masked
-/// out of placement/routing, and the annealing explorer is forced on if
-/// the preset compiles one-shot (greedy alone cannot rebalance around
-/// arbitrary dead tiles). This is the remap half of the self-healing
-/// loop in [`run_preset_faulted`].
-///
-/// # Errors
-/// Returns [`DriverError::Compile`] (the typed "remap infeasible"
-/// outcome) or [`DriverError::Bitstream`].
-pub fn compile_preset_faulted(
-    g: &Cdfg,
-    arch: &Architecture,
-    faults: &marionette::sim::FaultSet,
-) -> Result<Compiled, DriverError> {
-    let preset = arch.short.to_string();
-    let mut healed = arch.clone();
-    if !healed.opts.search.is_on() {
-        healed.opts.search = marionette::compiler::SearchBudget::default_on();
-    }
-    let (prog, report) =
-        compile_for_arch_with_faults(g, &healed, faults).map_err(|e| DriverError::Compile {
-            preset: preset.clone(),
-            e,
-        })?;
-    let bitstream = marionette::isa::bitstream::encode(&prog);
-    let prog = roundtrip_bitstream(&prog, &preset)?;
-    Ok(Compiled {
-        prog,
-        bitstream,
-        report,
-    })
+    compile_around(g, arch, &FaultSet::none())
 }
 
 /// Simulates a pre-compiled preset artifact with `faults` injected and
 /// bit-verifies it against `reference` — the simulate half of
 /// [`run_preset`], usable with a [`Compiled`] pulled from a cache
-/// instead of a fresh compile. Pass [`marionette::sim::FaultSet::none`]
-/// for a healthy fabric.
+/// instead of a fresh compile. Pass [`FaultSet::none`] for a healthy
+/// fabric; [`EngineKind`] selects nothing (it keeps the signature the
+/// benchmark harness calls).
 ///
 /// # Errors
 /// Returns [`DriverError::Sim`] (including the typed
@@ -261,16 +225,15 @@ pub fn simulate_compiled(
     compiled: &Compiled,
     overrides: &[(String, Value)],
     max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
-    engine: marionette::sim::EngineKind,
+    faults: &FaultSet,
+    _engine: EngineKind,
 ) -> Result<PresetRun, DriverError> {
     let preset = arch.short.to_string();
     let inputs = array_inputs(g);
-    let r = marionette::sim::run_full(
+    let r = marionette::sim::run_with_faults(
         &compiled.prog,
         &arch.tm,
         faults,
-        engine,
         &inputs,
         overrides,
         max_cycles,
@@ -279,54 +242,14 @@ pub fn simulate_compiled(
         preset: preset.clone(),
         e,
     })?;
-    verify_vs_reference(g, reference, arch, &preset, &compiled.prog, &r)?;
-    Ok(summarize(preset, &r, &compiled.report))
-}
-
-/// [`simulate_compiled`] with a [`marionette::sim::Tracer`] recording
-/// the cycle-accurate event stream ([`marionette::sim::trace`]): the
-/// `marc --trace` path. The traced simulation is bit-identical to the
-/// untraced one and passes the same reference verification.
-///
-/// # Errors
-/// As [`simulate_compiled`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_compiled_traced(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    compiled: &Compiled,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
-    engine: marionette::sim::EngineKind,
-    tracer: &mut marionette::sim::Tracer,
-) -> Result<PresetRun, DriverError> {
-    let preset = arch.short.to_string();
-    let inputs = array_inputs(g);
-    let r = marionette::sim::run_full_traced(
-        &compiled.prog,
-        &arch.tm,
-        faults,
-        engine,
-        &inputs,
-        overrides,
-        max_cycles,
-        tracer,
-    )
-    .map_err(|e| DriverError::Sim {
-        preset: preset.clone(),
-        e,
-    })?;
-    verify_vs_reference(g, reference, arch, &preset, &compiled.prog, &r)?;
-    Ok(summarize(preset, &r, &compiled.report))
+    verify_run(g, reference, arch, &preset, compiled, &r)
 }
 
 /// Simulates N parameter lanes of one pre-compiled artifact in a single
-/// batched pass ([`marionette::sim::run_lanes_full`]): the machine is
-/// built once and reset between lanes, which is how the `mard` batch
-/// endpoint folds same-bitstream requests into one run. Lane `i` is
-/// verified against `references[i]` (its own parameter set's reference
+/// batched pass ([`marionette::sim::run_lanes`]): the machine is built
+/// once and reset between lanes, which is how the `mard` batch endpoint
+/// folds same-bitstream requests into one run. Lane `i` is verified
+/// against `references[i]` (its own parameter set's reference
 /// interpretation); a lane that wedges reports its own error without
 /// poisoning its neighbours.
 ///
@@ -344,7 +267,6 @@ pub fn simulate_compiled_lanes(
     compiled: &Compiled,
     lane_overrides: &[Vec<(String, Value)>],
     max_cycles: u64,
-    engine: marionette::sim::EngineKind,
 ) -> Result<Vec<Result<PresetRun, DriverError>>, DriverError> {
     assert_eq!(
         references.len(),
@@ -360,18 +282,11 @@ pub fn simulate_compiled_lanes(
             params: ovr.clone(),
         })
         .collect();
-    let results = marionette::sim::run_lanes_full(
-        &compiled.prog,
-        &arch.tm,
-        &marionette::sim::FaultSet::none(),
-        engine,
-        &lanes,
-        max_cycles,
-    )
-    .map_err(|e| DriverError::Sim {
-        preset: preset.clone(),
-        e,
-    })?;
+    let results = marionette::sim::run_lanes(&compiled.prog, &arch.tm, &lanes, max_cycles)
+        .map_err(|e| DriverError::Sim {
+            preset: preset.clone(),
+            e,
+        })?;
     Ok(results
         .into_iter()
         .zip(references)
@@ -380,8 +295,7 @@ pub fn simulate_compiled_lanes(
                 preset: preset.clone(),
                 e,
             })?;
-            verify_vs_reference(g, reference, arch, &preset, &compiled.prog, &r)?;
-            Ok(summarize(preset.clone(), &r, &compiled.report))
+            verify_run(g, reference, arch, &preset, compiled, &r)
         })
         .collect())
 }
@@ -399,96 +313,20 @@ pub fn run_preset(
     max_cycles: u64,
     want_disasm: bool,
 ) -> Result<PresetRun, DriverError> {
-    run_preset_engine(
+    let fr = run_preset_faulted(
         g,
         reference,
         arch,
         overrides,
         max_cycles,
-        want_disasm,
-        marionette::sim::EngineKind::default(),
-    )
-}
-
-/// [`run_preset`] with an explicit simulator engine — the `marc
-/// --engine` axis. Both engines verify against the same reference
-/// bit for bit.
-///
-/// # Errors
-/// Returns the first [`DriverError`] along the pipeline.
-#[allow(clippy::too_many_arguments)]
-pub fn run_preset_engine(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    want_disasm: bool,
-    engine: marionette::sim::EngineKind,
-) -> Result<PresetRun, DriverError> {
-    let compiled = compile_preset(g, arch)?;
-    let mut run = simulate_compiled(
-        g,
-        reference,
-        arch,
-        &compiled,
-        overrides,
-        max_cycles,
-        &marionette::sim::FaultSet::none(),
-        engine,
+        &FaultSet::none(),
+        None,
     )?;
+    let mut run = fr.run;
     if want_disasm {
-        run.disasm = Some(marionette::isa::disasm::disassemble(&compiled.prog));
+        run.disasm = Some(marionette::isa::disasm::disassemble(&fr.compiled.prog));
     }
     Ok(run)
-}
-
-/// [`run_preset_engine`] with a [`marionette::sim::Tracer`]: compiles,
-/// round-trips the bitstream, simulates traced, verifies — the healthy
-/// `marc --trace` pipeline.
-///
-/// # Errors
-/// Returns the first [`DriverError`] along the pipeline.
-#[allow(clippy::too_many_arguments)]
-pub fn run_preset_engine_traced(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    want_disasm: bool,
-    engine: marionette::sim::EngineKind,
-    tracer: &mut marionette::sim::Tracer,
-) -> Result<PresetRun, DriverError> {
-    let compiled = compile_preset(g, arch)?;
-    let mut run = simulate_compiled_traced(
-        g,
-        reference,
-        arch,
-        &compiled,
-        overrides,
-        max_cycles,
-        &marionette::sim::FaultSet::none(),
-        engine,
-        tracer,
-    )?;
-    if want_disasm {
-        run.disasm = Some(marionette::isa::disasm::disassemble(&compiled.prog));
-    }
-    Ok(run)
-}
-
-/// Serializes `prog` to the configuration bitstream and decodes it back
-/// — the same full-stack fidelity check every pipeline run exercises.
-fn roundtrip_bitstream(
-    prog: &marionette::isa::MachineProgram,
-    preset: &str,
-) -> Result<marionette::isa::MachineProgram, DriverError> {
-    let bytes = marionette::isa::bitstream::encode(prog);
-    marionette::isa::bitstream::decode(&bytes).map_err(|e| DriverError::Bitstream {
-        preset: preset.to_string(),
-        detail: e.to_string(),
-    })
 }
 
 pub(crate) fn array_inputs(g: &Cdfg) -> Vec<(String, Vec<Value>)> {
@@ -498,19 +336,25 @@ pub(crate) fn array_inputs(g: &Cdfg) -> Vec<(String, Vec<Value>)> {
         .collect()
 }
 
-/// Bit-verifies a simulation against the reference interpreter: every
-/// array stream, every sink stream, the out-of-bounds event count and
-/// the firing count (predicated or dropping, per the timing model).
-pub(crate) fn verify_vs_reference(
+/// Bit-verifies a simulation of `compiled` against the reference
+/// interpreter — every array stream, every sink stream, the
+/// out-of-bounds event count and the firing count (predicated or
+/// dropping, per the timing model) — and summarizes it as `label`'s
+/// run.
+///
+/// # Errors
+/// Returns [`DriverError::Mismatch`] naming the first divergence.
+pub fn verify_run(
     g: &Cdfg,
     reference: &Reference,
     arch: &Architecture,
-    preset: &str,
-    prog: &marionette::isa::MachineProgram,
+    label: &str,
+    compiled: &Compiled,
     r: &marionette::sim::RunResult,
-) -> Result<(), DriverError> {
+) -> Result<PresetRun, DriverError> {
+    let prog = &compiled.prog;
     let fail = |detail: String| DriverError::Mismatch {
-        preset: preset.to_string(),
+        preset: label.to_string(),
         detail,
     };
     for arr in &g.arrays {
@@ -542,16 +386,9 @@ pub(crate) fn verify_vs_reference(
             r.stats.fires
         )));
     }
-    Ok(())
-}
-
-pub(crate) fn summarize(
-    preset: String,
-    r: &marionette::sim::RunResult,
-    report: &marionette::compiler::CompileReport,
-) -> PresetRun {
-    PresetRun {
-        preset,
+    let report = &compiled.report;
+    Ok(PresetRun {
+        preset: label.to_string(),
         cycles: r.stats.cycles,
         fires: r.stats.fires,
         link_stall_cycles: r.stats.link_stall_cycles,
@@ -561,7 +398,7 @@ pub(crate) fn summarize(
         mean_data_hops: report.mean_data_hops,
         search: report.search.clone(),
         disasm: None,
-    }
+    })
 }
 
 /// One preset's run on a faulted fabric.
@@ -575,19 +412,20 @@ pub struct FaultRun {
     pub remapped: bool,
     /// The verified measurement.
     pub run: PresetRun,
+    /// The program that ran: the original mapping or its remap.
+    pub compiled: Compiled,
 }
 
-/// Runs `g` on `arch` with `faults` injected, self-healing by remap when
-/// the fault-oblivious bitstream touches a dead resource:
+/// Runs `g` on `arch` with `faults` injected, self-healing by remap
+/// ([`marionette::runner::self_heal`]) when the fault-oblivious
+/// bitstream touches a dead resource, then bit-verifies the surviving
+/// run against the reference interpreter — the same
+/// arrays/sinks/oob/fires oracle [`run_preset`] applies.
 ///
-/// 1. compile normally and simulate with the faults injected;
-/// 2. if the simulator rejects the bitstream with a typed
-///    [`marionette::sim::SimError::Fault`], re-run the compile with the
-///    faulty resources masked (forcing the annealing explorer on so
-///    operators can move off dead tiles) and simulate the remap;
-/// 3. either way, bit-verify the surviving run against the reference
-///    interpreter — the same arrays/sinks/oob/fires oracle
-///    [`run_preset`] applies.
+/// With a `tracer`, both simulations are recorded and a wedged bitstream
+/// leaves a `remap after <resource>` marker on the trace's marks track;
+/// the traced run is bit-identical to the untraced one. With an empty
+/// `faults` this is [`run_preset`].
 ///
 /// A remap that still cannot fit ([`DriverError::Compile`]) is the typed
 /// "remap infeasible" outcome callers count as a degradation failure.
@@ -595,122 +433,49 @@ pub struct FaultRun {
 /// # Errors
 /// Returns the first [`DriverError`] along whichever pipeline (original
 /// or remapped) survives fault screening.
+#[allow(clippy::too_many_arguments)]
 pub fn run_preset_faulted(
     g: &Cdfg,
     reference: &Reference,
     arch: &Architecture,
     overrides: &[(String, Value)],
     max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
+    faults: &FaultSet,
+    tracer: Option<&mut Tracer>,
 ) -> Result<FaultRun, DriverError> {
-    run_preset_faulted_engine(
-        g,
-        reference,
+    let preset = arch.short.to_string();
+    let inputs = array_inputs(g);
+    let first = compile_preset(g, arch)?;
+    let healed = self_heal(
         arch,
-        overrides,
-        max_cycles,
-        faults,
-        marionette::sim::EngineKind::default(),
+        first,
+        tracer,
+        |c, t| {
+            marionette::sim::run_full_traced(
+                &c.prog, &arch.tm, faults, &inputs, overrides, max_cycles, t,
+            )
+        },
+        |healed| compile_around(g, healed, faults),
     )
-}
-
-/// [`run_preset_faulted`] with an explicit simulator engine.
-///
-/// # Errors
-/// Returns the first [`DriverError`] along whichever pipeline (original
-/// or remapped) survives fault screening.
-#[allow(clippy::too_many_arguments)]
-pub fn run_preset_faulted_engine(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
-    engine: marionette::sim::EngineKind,
-) -> Result<FaultRun, DriverError> {
-    let compiled = compile_preset(g, arch)?;
-    let wedged = match simulate_compiled(
-        g, reference, arch, &compiled, overrides, max_cycles, faults, engine,
-    ) {
-        Ok(run) => {
-            return Ok(FaultRun {
-                wedged: None,
-                remapped: false,
-                run,
-            })
-        }
-        Err(DriverError::Sim {
-            e: marionette::sim::SimError::Fault { what, .. },
-            ..
-        }) => what,
-        Err(e) => return Err(e),
-    };
-    // Self-heal: recompile with the faulty resources masked. Presets that
-    // compile one-shot get the default annealing budget — the greedy
-    // placer alone cannot rebalance around arbitrary dead tiles.
-    let compiled = compile_preset_faulted(g, arch, faults)?;
-    let run = simulate_compiled(
-        g, reference, arch, &compiled, overrides, max_cycles, faults, engine,
-    )?;
+    .map_err(|e| match e {
+        HealError::Remap(e) => e,
+        HealError::Sim { e, .. } => DriverError::Sim {
+            preset: preset.clone(),
+            e,
+        },
+    })?;
     Ok(FaultRun {
-        wedged: Some(wedged),
-        remapped: true,
-        run,
-    })
-}
-
-/// [`run_preset_faulted_engine`] with a [`marionette::sim::Tracer`]: the
-/// surviving pipeline (original or self-healed remap) simulates traced,
-/// and a wedged bitstream leaves a `remap after <resource>` marker on
-/// the trace's marks track.
-///
-/// # Errors
-/// Returns the first [`DriverError`] along whichever pipeline (original
-/// or remapped) survives fault screening.
-#[allow(clippy::too_many_arguments)]
-pub fn run_preset_faulted_engine_traced(
-    g: &Cdfg,
-    reference: &Reference,
-    arch: &Architecture,
-    overrides: &[(String, Value)],
-    max_cycles: u64,
-    faults: &marionette::sim::FaultSet,
-    engine: marionette::sim::EngineKind,
-    tracer: &mut marionette::sim::Tracer,
-) -> Result<FaultRun, DriverError> {
-    let compiled = compile_preset(g, arch)?;
-    let wedged = match simulate_compiled_traced(
-        g, reference, arch, &compiled, overrides, max_cycles, faults, engine, tracer,
-    ) {
-        Ok(run) => {
-            return Ok(FaultRun {
-                wedged: None,
-                remapped: false,
-                run,
-            })
-        }
-        Err(DriverError::Sim {
-            e: marionette::sim::SimError::Fault { what, .. },
-            ..
-        }) => what,
-        Err(e) => return Err(e),
-    };
-    tracer.mark(0, &format!("remap after {wedged}"));
-    let compiled = compile_preset_faulted(g, arch, faults)?;
-    let run = simulate_compiled_traced(
-        g, reference, arch, &compiled, overrides, max_cycles, faults, engine, tracer,
-    )?;
-    Ok(FaultRun {
-        wedged: Some(wedged),
-        remapped: true,
-        run,
+        run: verify_run(g, reference, arch, &preset, &healed.compiled, &healed.run)?,
+        remapped: healed.wedged.is_some(),
+        wedged: healed.wedged,
+        compiled: healed.compiled,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marionette::runner::compile_for_arch;
 
     const SRC: &str = "
 program smoke;
@@ -768,7 +533,7 @@ sink sum = sum;
         let arch = marionette_arch::marionette_full();
         let mut faults = marionette::sim::FaultSet::new(arch.opts.rows, arch.opts.cols);
         faults.add("pe:0,0".parse().unwrap()).unwrap();
-        let fr = run_preset_faulted(&g, &r, &arch, &[], DEFAULT_MAX_CYCLES, &faults).unwrap();
+        let fr = run_preset_faulted(&g, &r, &arch, &[], DEFAULT_MAX_CYCLES, &faults, None).unwrap();
         assert_eq!(fr.wedged.as_deref(), Some("pe:0,0"));
         assert!(fr.remapped, "a dead anchor tile must force a remap");
         assert!(fr.run.cycles > 0);
@@ -815,7 +580,8 @@ sink sum = sum;
             }
             // run_preset_faulted bit-verifies against the interpreter, so
             // a value changed by a flaky link would fail here.
-            let fr = run_preset_faulted(&g, &r, &arch, &[], DEFAULT_MAX_CYCLES, &faults).unwrap();
+            let fr =
+                run_preset_faulted(&g, &r, &arch, &[], DEFAULT_MAX_CYCLES, &faults, None).unwrap();
             assert!(!fr.remapped, "flaky links must not wedge the bitstream");
             assert!(
                 fr.run.cycles >= prev,

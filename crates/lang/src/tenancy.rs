@@ -16,13 +16,12 @@
 //! simulation is exact rather than approximate.
 
 use crate::driver::{
-    array_inputs, compile_preset, summarize, verify_vs_reference, Compiled, DriverError, PresetRun,
-    Reference,
+    array_inputs, compile_preset, verify_run, Compiled, DriverError, PresetRun, Reference,
 };
 use marionette::compiler::Partition;
 use marionette::isa::{MultiTenantImage, TenantImage};
 use marionette::sim::tenancy::{run_tenants, TenancyError, TenantWorkload};
-use marionette::sim::{EngineKind, SimError};
+use marionette::sim::SimError;
 use marionette_arch::Architecture;
 use marionette_cdfg::{Cdfg, Value};
 
@@ -123,7 +122,6 @@ pub fn run_tenancy(
     rows: u8,
     cols: u8,
     jobs: &[TenantJob<'_>],
-    engine: EngineKind,
 ) -> Result<TenancyReport, DriverError> {
     use marionette::compiler::{FabricDims, PartitionMap};
     // Validate the layout first: typed overlap/out-of-fabric rejection.
@@ -167,7 +165,7 @@ pub fn run_tenancy(
             max_cycles: j.max_cycles,
         })
         .collect();
-    let run = run_tenants(&image, &tms, &loads, engine).map_err(|e| match e {
+    let run = run_tenants(&image, &tms, &loads).map_err(|e| match e {
         TenancyError::Image(e) => DriverError::Image(e),
         other => DriverError::Mismatch {
             preset: "tenancy".to_string(),
@@ -181,8 +179,7 @@ pub fn run_tenancy(
     for ((j, c), outcome) in jobs.iter().zip(&compiled).zip(run.tenants) {
         let tr = match outcome.result {
             Ok(r) => {
-                verify_vs_reference(j.g, j.reference, j.arch, &j.name, &c.prog, &r)?;
-                TenantOutcome::Completed(summarize(j.name.clone(), &r, &c.report))
+                TenantOutcome::Completed(verify_run(j.g, j.reference, j.arch, &j.name, c, &r)?)
             }
             Err(e) => TenantOutcome::Wedged(e),
         };

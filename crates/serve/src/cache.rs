@@ -11,11 +11,10 @@
 //! - the injected [`FaultSet`] (a remap under faults is a different
 //!   artifact than a healthy compile).
 //!
-//! Simulation-time inputs — parameter overrides, engine choice, cycle
-//! budget, lane counts — are deliberately **not** part of the key: they
-//! select what runs on the bitstream, not what the bitstream is. That is
-//! what lets repeat traffic with fresh parameters skip compilation
-//! entirely.
+//! Simulation-time inputs — parameter overrides, cycle budget, lane
+//! counts — are deliberately **not** part of the key: they select what
+//! runs on the bitstream, not what the bitstream is. That is what lets
+//! repeat traffic with fresh parameters skip compilation entirely.
 //!
 //! Entries store the full key material and compare it on lookup, so a
 //! 64-bit address collision can never serve the wrong bitstream; the

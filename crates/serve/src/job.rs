@@ -13,11 +13,12 @@ use crate::{RouteMeta, ServerState};
 use marionette::cdfg::value::Value;
 use marionette::compiler::SearchBudget;
 use marionette::report::json_escape;
+use marionette::runner::{compile_roundtrip, self_heal, HealError, RunnerError};
 use marionette::sim::{EngineKind, FaultSet, SimError};
 use marionette_arch::{Architecture, FabricDims};
 use marionette_lang::driver::{
-    compile_preset, compile_preset_faulted, frontend, reference, simulate_compiled,
-    simulate_compiled_lanes, DriverError, PresetRun, Reference,
+    compile_preset, frontend, reference, simulate_compiled, simulate_compiled_lanes, verify_run,
+    DriverError, PresetRun, Reference,
 };
 use marionette_lang::{ast, print};
 use std::fmt::Write as _;
@@ -187,8 +188,6 @@ pub struct RunOptions {
     pub fabric: FabricDims,
     /// Injected fault set (empty for healthy runs).
     pub faults: FaultSet,
-    /// Simulator engine.
-    pub engine: EngineKind,
     /// Cycle budget, already clamped to the server cap.
     pub max_cycles: u64,
     /// Raw single-run `param` overrides.
@@ -209,11 +208,38 @@ fn parse_lane(spec: &str) -> Result<Vec<(String, String)>, ApiError> {
     Ok(out)
 }
 
+/// The query keys `/run` and `/batch` understand.
+const OPTION_KEYS: [&str; 9] = [
+    "fabric",
+    "preset",
+    "search",
+    "fault",
+    "faults",
+    "fault-seed",
+    "max-cycles",
+    "param",
+    "lane",
+];
+
 /// Decodes and validates the query string against the server limits.
 ///
 /// # Errors
-/// Returns a 400 [`ApiError`] naming the offending option.
+/// Returns a 400 [`ApiError`] naming the offending option; a key outside
+/// the known set is `unknown_option`.
 pub fn decode_options(state: &ServerState, req: &Request) -> Result<RunOptions, ApiError> {
+    if let Some((key, _)) = req
+        .query
+        .iter()
+        .find(|(k, _)| !OPTION_KEYS.contains(&k.as_str()))
+    {
+        return Err(ApiError::bad(
+            "unknown_option",
+            format!(
+                "query option `{key}` is not one of {}",
+                OPTION_KEYS.join(", ")
+            ),
+        ));
+    }
     let fabric: FabricDims = match req.query_first("fabric") {
         None => FabricDims::paper(),
         Some(v) => v
@@ -282,12 +308,6 @@ pub fn decode_options(state: &ServerState, req: &Request) -> Result<RunOptions, 
     };
     let faults = FaultSet::from_cli(fabric.rows, fabric.cols, &fault_specs, faults_n, fault_seed)
         .map_err(|e| ApiError::bad("bad_fault", e))?;
-    let engine = match req.query_first("engine") {
-        None => EngineKind::default(),
-        Some(v) => v
-            .parse()
-            .map_err(|e| ApiError::bad("bad_engine", format!("engine `{v}`: {e}")))?,
-    };
     let max_cycles = match req.query_first("max-cycles") {
         None => state.cfg.max_cycles,
         Some(v) => {
@@ -314,7 +334,6 @@ pub fn decode_options(state: &ServerState, req: &Request) -> Result<RunOptions, 
         arch,
         fabric,
         faults,
-        engine,
         max_cycles,
         params,
         lanes,
@@ -399,10 +418,11 @@ fn json_result(run: &PresetRun, sinks: &std::collections::HashMap<String, Vec<Va
 }
 
 /// Compile-or-reuse: resolves the request's artifact through the
-/// content-addressed cache. On a miss with faults injected, the cold
-/// path probes for a wedge and self-heals exactly like
-/// `run_preset_faulted` — and the *surviving* artifact (original or
-/// remap) is what gets cached, together with its fault outcome.
+/// content-addressed cache. On a miss the cold path compiles and, under
+/// faults, self-heals by remap ([`self_heal`]) exactly like the offline
+/// driver — and the *surviving* artifact (original or remap) is what
+/// gets cached, together with its fault outcome. Compile and simulation
+/// (with its verification) time into `meta.compile_us` / `meta.sim_us`.
 ///
 /// Returns `(run, artifact, hit)` so callers report cache outcome and
 /// remap metadata without re-deriving them.
@@ -418,6 +438,7 @@ fn run_via_cache(
     meta: &mut RouteMeta,
 ) -> Result<(PresetRun, Arc<CachedArtifact>, bool), ApiError> {
     let under_faults = !opts.faults.is_empty();
+    let api_error = |e| map_driver_error(e, src, under_faults);
     if let Some(artifact) = state.cache.lookup(key) {
         let t = std::time::Instant::now();
         let run = simulate_compiled(
@@ -428,70 +449,76 @@ fn run_via_cache(
             overrides,
             opts.max_cycles,
             &opts.faults,
-            opts.engine,
+            EngineKind,
         )
-        .map_err(|e| map_driver_error(e, src, under_faults))?;
+        .map_err(api_error)?;
         meta.sim_us += micros_since(t);
         return Ok((run, artifact, true));
     }
+    let inputs: Vec<(String, Vec<Value>)> = g
+        .arrays
+        .iter()
+        .map(|a| (a.name.clone(), a.init.clone()))
+        .collect();
+    let (mut compile_us, mut sim_us) = (0, 0);
     let t = std::time::Instant::now();
-    let compiled =
-        compile_preset(g, &opts.arch).map_err(|e| map_driver_error(e, src, under_faults))?;
-    meta.compile_us += micros_since(t);
+    let first = compile_preset(g, &opts.arch).map_err(api_error)?;
+    compile_us += micros_since(t);
+    let healed = self_heal(
+        &opts.arch,
+        first,
+        None,
+        |c, _| {
+            let t = std::time::Instant::now();
+            let r = marionette::sim::run_with_faults(
+                &c.prog,
+                &opts.arch.tm,
+                &opts.faults,
+                &inputs,
+                overrides,
+                opts.max_cycles,
+            );
+            sim_us += micros_since(t);
+            r
+        },
+        |healed| {
+            let t = std::time::Instant::now();
+            let c = compile_roundtrip(g, healed, &opts.faults);
+            compile_us += micros_since(t);
+            c
+        },
+    );
+    meta.compile_us += compile_us;
+    meta.sim_us += sim_us;
+    let healed = healed.map_err(|e| {
+        let preset = opts.arch.short.to_string();
+        api_error(match e {
+            HealError::Remap(RunnerError::Compile(e)) => DriverError::Compile { preset, e },
+            HealError::Remap(e) => DriverError::Bitstream {
+                preset,
+                detail: e.to_string(),
+            },
+            HealError::Sim { e, .. } => DriverError::Sim { preset, e },
+        })
+    })?;
     let t = std::time::Instant::now();
-    let first = simulate_compiled(
+    let run = verify_run(
         g,
         reference,
         &opts.arch,
-        &compiled,
-        overrides,
-        opts.max_cycles,
-        &opts.faults,
-        opts.engine,
+        opts.arch.short,
+        &healed.compiled,
+        &healed.run,
     );
     meta.sim_us += micros_since(t);
-    match first {
-        Ok(run) => {
-            let artifact = CachedArtifact {
-                compiled,
-                wedged: None,
-                remapped: false,
-            };
-            state.cache.insert(key, artifact.clone());
-            Ok((run, Arc::new(artifact), false))
-        }
-        Err(DriverError::Sim {
-            e: SimError::Fault { what, .. },
-            ..
-        }) if under_faults => {
-            // Self-heal: recompile with the faulty resources masked.
-            let t = std::time::Instant::now();
-            let healed = compile_preset_faulted(g, &opts.arch, &opts.faults)
-                .map_err(|e| map_driver_error(e, src, true))?;
-            meta.compile_us += micros_since(t);
-            let t = std::time::Instant::now();
-            let run = simulate_compiled(
-                g,
-                reference,
-                &opts.arch,
-                &healed,
-                overrides,
-                opts.max_cycles,
-                &opts.faults,
-                opts.engine,
-            )
-            .map_err(|e| map_driver_error(e, src, true))?;
-            meta.sim_us += micros_since(t);
-            let artifact = CachedArtifact {
-                compiled: healed,
-                wedged: Some(what),
-                remapped: true,
-            };
-            state.cache.insert(key, artifact.clone());
-            Ok((run, Arc::new(artifact), false))
-        }
-        Err(e) => Err(map_driver_error(e, src, under_faults)),
-    }
+    let run = run.map_err(api_error)?;
+    let artifact = CachedArtifact {
+        compiled: healed.compiled,
+        remapped: healed.wedged.is_some(),
+        wedged: healed.wedged,
+    };
+    state.cache.insert(key, artifact.clone());
+    Ok((run, Arc::new(artifact), false))
 }
 
 fn response_head(
@@ -658,7 +685,6 @@ pub fn handle_batch(
             &artifact.compiled,
             &ovrs,
             opts.max_cycles,
-            opts.engine,
         )
         .map_err(|e| map_driver_error(e, &src, false))?
     };

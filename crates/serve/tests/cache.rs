@@ -56,13 +56,13 @@ fn whitespace_and_comment_changes_hit_the_same_entry() {
 }
 
 #[test]
-fn different_params_and_engine_share_the_bitstream() {
+fn different_params_share_the_bitstream() {
     let s = Server::start(ServeConfig::default()).expect("bind");
     let (_, cold) = run(s.addr(), "preset=M", BASE);
     assert!(cold.contains("\"outcome\": \"miss\""), "{cold}");
-    // Fresh parameters and a different engine are sim-time inputs: the
-    // compile must be reused (hit), while the result reflects the new n.
-    let (status, warm) = run(s.addr(), "preset=M&param=n%3D7&engine=heap", BASE);
+    // Fresh parameters are a sim-time input: the compile must be reused
+    // (hit), while the result reflects the new n.
+    let (status, warm) = run(s.addr(), "preset=M&param=n%3D7", BASE);
     assert_eq!(status, 200, "{warm}");
     assert!(warm.contains("\"outcome\": \"hit\""), "{warm}");
     assert!(warm.contains("\"sinks\": {\"s\": [196]}"), "{warm}");

@@ -99,9 +99,12 @@ fn unknown_preset_and_fabric_and_engine_are_400() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("\"kind\": \"bad_fabric\""), "{body}");
 
+    // `engine` is no longer an option: any unknown key is a typed 400
+    // that names the key.
     let (status, body) = run(s.addr(), "engine=quantum", GOOD);
     assert_eq!(status, 400, "{body}");
-    assert!(body.contains("\"kind\": \"bad_engine\""), "{body}");
+    assert!(body.contains("\"kind\": \"unknown_option\""), "{body}");
+    assert!(body.contains("`engine`"), "{body}");
     s.stop();
 }
 

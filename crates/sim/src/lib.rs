@@ -54,8 +54,8 @@ pub mod wheel;
 
 pub use fault::{FaultSet, FaultSpec};
 pub use machine::{
-    run, run_full, run_full_traced, run_lanes, run_lanes_full, run_with_engine, run_with_faults,
-    EngineKind, LaneSpec, RunResult, SimError,
+    run, run_full, run_full_traced, run_lanes, run_lanes_full, run_with_faults, EngineKind,
+    LaneSpec, RunResult, SimError,
 };
 pub use stats::{GroupStats, RunStats, UnitStats};
 pub use tenancy::{run_tenants, TenancyError, TenancyRun, TenantOutcome, TenantWorkload};

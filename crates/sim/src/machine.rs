@@ -28,9 +28,8 @@
 //!
 //! - scheduled tokens live in a calendar-queue [`EventWheel`] (O(1) push
 //!   and pop over a dense horizon, arena payloads, overflow bucket for
-//!   the rare far-future booking) — the pre-wheel payload-carrying
-//!   min-heap survives behind [`EngineKind::Heap`] as the differential
-//!   reference engine;
+//!   the rare far-future booking), held directly by the machine — its
+//!   ordering oracle is the reference queue in `tests/wheel_props.rs`;
 //! - token queues are fixed-stride rings in one dense slab (`TokenQueues`),
 //!   not per-port `VecDeque` allocations, and per-route hot metadata
 //!   (hop link ids, destination queue/group) is flattened at
@@ -55,47 +54,16 @@ use crate::wheel::EventWheel;
 use marionette_cdfg::op::{Op, SteerRole};
 use marionette_cdfg::value::Value;
 use marionette_isa::{MachineProgram, OperandSrc, Placement, RouteClass};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::str::FromStr;
 
-/// Selects the event-queue implementation driving the simulator core.
-///
-/// Both engines execute the identical machine model and produce
-/// bit-identical [`RunResult`]s — `crates/core/tests/engine_equivalence.rs`
-/// pins this on every kernel × preset, healthy and faulted. The heap is
-/// kept as the differential reference; the wheel is the default and what
-/// all committed benchmark snapshots gate against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// Binary-heap event queue (the pre-wheel reference core).
-    Heap,
-    /// Calendar-queue event wheel (see [`crate::wheel`]).
-    #[default]
-    Wheel,
-}
+/// The simulator's engine selector, which has one value: the event
+/// wheel. It survives only as a parameter of [`run_full`] and of the
+/// `lang` driver's `simulate_compiled`, whose signatures the frozen
+/// benchmark harness under `perfbench/` calls; it selects nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EngineKind;
 
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineKind::Heap => write!(f, "heap"),
-            EngineKind::Wheel => write!(f, "wheel"),
-        }
-    }
-}
-
-impl FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(EngineKind::Heap),
-            "wheel" => Ok(EngineKind::Wheel),
-            other => Err(format!("unknown engine {other:?} (expected heap|wheel)")),
-        }
-    }
-}
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -186,114 +154,6 @@ enum EvKind {
         route: u32,
         value: Value,
     },
-}
-
-/// A scheduled event carrying its payload. Ordered so that
-/// `BinaryHeap::pop` yields the earliest `(at, seq)` first — a single
-/// min-heap replaces the old key-heap + payload-map pair, halving the
-/// bookkeeping per delivered token.
-#[derive(Clone, Debug)]
-struct Ev {
-    at: u64,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Ev {}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The machine's event queue, behind the [`EngineKind`] selector. Both
-/// variants yield events in identical `(at, insertion order)` total
-/// order; only the data structure differs.
-enum EventQueue {
-    Heap { heap: BinaryHeap<Ev>, seq: u64 },
-    Wheel(EventWheel<EvKind>),
-}
-
-impl EventQueue {
-    fn new(kind: EngineKind) -> Self {
-        match kind {
-            EngineKind::Heap => EventQueue::Heap {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            },
-            EngineKind::Wheel => EventQueue::Wheel(EventWheel::new()),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, at: u64, kind: EvKind) {
-        match self {
-            EventQueue::Heap { heap, seq } => {
-                let s = *seq;
-                *seq += 1;
-                heap.push(Ev { at, seq: s, kind });
-            }
-            EventQueue::Wheel(w) => w.push(at, kind),
-        }
-    }
-
-    #[inline]
-    fn pop_due(&mut self, now: u64) -> Option<EvKind> {
-        match self {
-            EventQueue::Heap { heap, .. } => {
-                if heap.peek()?.at > now {
-                    return None;
-                }
-                Some(heap.pop().expect("peeked event").kind)
-            }
-            EventQueue::Wheel(w) => w.pop_due(now),
-        }
-    }
-
-    fn next_at(&self) -> Option<u64> {
-        match self {
-            EventQueue::Heap { heap, .. } => heap.peek().map(|ev| ev.at),
-            EventQueue::Wheel(w) => w.next_at(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap { heap, .. } => heap.len(),
-            EventQueue::Wheel(w) => w.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn clear(&mut self) {
-        match self {
-            EventQueue::Heap { heap, seq } => {
-                heap.clear();
-                *seq = 0;
-            }
-            EventQueue::Wheel(w) => w.clear(),
-        }
-    }
 }
 
 /// Dense token storage: every capacity-bounded input queue is a
@@ -577,7 +437,7 @@ struct Machine<'p> {
     issue_work: Vec<u32>,
     issue_leftover: Vec<u32>,
     // events
-    events: EventQueue,
+    events: EventWheel<EvKind>,
     // Hot timing-model scalars, hoisted out of the `&TimingModel` so the
     // per-fire paths read plain fields.
     /// `tm.issue_occupancy()`.
@@ -631,39 +491,7 @@ pub fn run(
     params: &[(String, Value)],
     max_cycles: u64,
 ) -> Result<RunResult, SimError> {
-    run_full(
-        prog,
-        tm,
-        &FaultSet::none(),
-        EngineKind::default(),
-        inputs,
-        params,
-        max_cycles,
-    )
-}
-
-/// [`run`] with an explicit [`EngineKind`] (same fault-free semantics).
-///
-/// # Errors
-/// Returns [`SimError`] on deadlock, cycle-budget exhaustion or unknown
-/// workload names.
-pub fn run_with_engine(
-    prog: &MachineProgram,
-    tm: &TimingModel,
-    engine: EngineKind,
-    inputs: &[(String, Vec<Value>)],
-    params: &[(String, Value)],
-    max_cycles: u64,
-) -> Result<RunResult, SimError> {
-    run_full(
-        prog,
-        tm,
-        &FaultSet::none(),
-        engine,
-        inputs,
-        params,
-        max_cycles,
-    )
+    run_with_faults(prog, tm, &FaultSet::none(), inputs, params, max_cycles)
 }
 
 /// Runs a program to quiescence on a faulted fabric.
@@ -686,71 +514,56 @@ pub fn run_with_faults(
     params: &[(String, Value)],
     max_cycles: u64,
 ) -> Result<RunResult, SimError> {
-    run_full(
-        prog,
-        tm,
-        faults,
-        EngineKind::default(),
-        inputs,
-        params,
-        max_cycles,
-    )
+    run_full_traced(prog, tm, faults, inputs, params, max_cycles, None)
 }
 
-/// The full-control entry point: faults **and** engine selection.
-///
-/// Every other `run*` function delegates here; see [`run_with_faults`]
-/// for the fault semantics.
+/// [`run_with_faults`] under the signature the benchmark harness calls;
+/// [`EngineKind`] selects nothing.
 ///
 /// # Errors
-/// Returns [`SimError`] on a touched fault, deadlock, cycle-budget
-/// exhaustion or unknown workload names.
+/// Returns [`SimError`] exactly as [`run_with_faults`] does.
 pub fn run_full(
     prog: &MachineProgram,
     tm: &TimingModel,
     faults: &FaultSet,
-    engine: EngineKind,
+    _engine: EngineKind,
     inputs: &[(String, Vec<Value>)],
     params: &[(String, Value)],
     max_cycles: u64,
 ) -> Result<RunResult, SimError> {
-    let mut m = Machine::new(prog, tm, faults, engine)?;
-    m.apply_workload(inputs, params)?;
-    m.boot();
-    m.run_to_quiescence(max_cycles)?;
-    Ok(m.finish())
+    run_with_faults(prog, tm, faults, inputs, params, max_cycles)
 }
 
-/// [`run_full`] with a [`Tracer`] recording the cycle-accurate event
-/// stream (see [`crate::trace`]). The tracer is borrowed for the run and
-/// handed back with the recorded events on success **and** on error (a
-/// partial trace of a deadlocked run is exactly what one wants to look
-/// at). The run itself is bit-identical to the untraced [`run_full`].
+/// The full-control entry point every other `run*` function delegates
+/// to: faults (see [`run_with_faults`]) and an optional [`Tracer`]
+/// recording the cycle-accurate event stream (see [`crate::trace`]).
+/// The tracer is borrowed for the run and handed back with the recorded
+/// events on success **and** on error (a partial trace of a deadlocked
+/// run is exactly what one wants to look at). A traced run is
+/// bit-identical to the untraced one.
 ///
 /// # Errors
-/// Returns [`SimError`] exactly as [`run_full`] does.
-#[allow(clippy::too_many_arguments)]
+/// Returns [`SimError`] on a touched fault, deadlock, cycle-budget
+/// exhaustion or unknown workload names.
 pub fn run_full_traced(
     prog: &MachineProgram,
     tm: &TimingModel,
     faults: &FaultSet,
-    engine: EngineKind,
     inputs: &[(String, Vec<Value>)],
     params: &[(String, Value)],
     max_cycles: u64,
-    tracer: &mut Tracer,
+    tracer: Option<&mut Tracer>,
 ) -> Result<RunResult, SimError> {
-    let mut m = Machine::new(prog, tm, faults, engine)?;
+    let mut m = Machine::new(prog, tm, faults)?;
+    let Some(tracer) = tracer else {
+        return run_workload(&mut m, inputs, params, max_cycles);
+    };
     let mut t = std::mem::take(tracer);
     t.set_cols(prog.cols as usize);
     m.trace = Some(Box::new(t));
-    let run = m.apply_workload(inputs, params).and_then(|()| {
-        m.boot();
-        m.run_to_quiescence(max_cycles)
-    });
+    let run = run_workload(&mut m, inputs, params, max_cycles);
     *tracer = *m.trace.take().expect("tracer installed above");
-    run?;
-    Ok(m.finish())
+    run
 }
 
 /// One lane of a batched [`run_lanes`] call: a workload (array contents
@@ -785,17 +598,10 @@ pub fn run_lanes(
     lanes: &[LaneSpec],
     max_cycles: u64,
 ) -> Result<Vec<Result<RunResult, SimError>>, SimError> {
-    run_lanes_full(
-        prog,
-        tm,
-        &FaultSet::none(),
-        EngineKind::default(),
-        lanes,
-        max_cycles,
-    )
+    run_lanes_full(prog, tm, &FaultSet::none(), lanes, max_cycles)
 }
 
-/// [`run_lanes`] with explicit faults and engine.
+/// [`run_lanes`] on a faulted fabric.
 ///
 /// # Errors
 /// As [`run_lanes`]: outer `Err` for construction/fault screening,
@@ -804,28 +610,29 @@ pub fn run_lanes_full(
     prog: &MachineProgram,
     tm: &TimingModel,
     faults: &FaultSet,
-    engine: EngineKind,
     lanes: &[LaneSpec],
     max_cycles: u64,
 ) -> Result<Vec<Result<RunResult, SimError>>, SimError> {
-    let mut m = Machine::new(prog, tm, faults, engine)?;
+    let mut m = Machine::new(prog, tm, faults)?;
     let mut out = Vec::with_capacity(lanes.len());
     for (li, lane) in lanes.iter().enumerate() {
         if li > 0 {
             m.reset();
         }
-        let r = run_one_lane(&mut m, lane, max_cycles);
-        out.push(r);
+        out.push(run_workload(&mut m, &lane.inputs, &lane.params, max_cycles));
     }
     Ok(out)
 }
 
-fn run_one_lane(
+/// Applies one workload to a built (or reset) machine, boots it and
+/// runs it to quiescence.
+fn run_workload(
     m: &mut Machine<'_>,
-    lane: &LaneSpec,
+    inputs: &[(String, Vec<Value>)],
+    params: &[(String, Value)],
     max_cycles: u64,
 ) -> Result<RunResult, SimError> {
-    m.apply_workload(&lane.inputs, &lane.params)?;
+    m.apply_workload(inputs, params)?;
     m.boot();
     m.run_to_quiescence(max_cycles)?;
     Ok(m.finish())
@@ -852,7 +659,6 @@ impl<'p> Machine<'p> {
         prog: &'p MachineProgram,
         tm: &'p TimingModel,
         faults: &FaultSet,
-        engine: EngineKind,
     ) -> Result<Self, SimError> {
         let npes = prog.pe_count();
         let nmem = prog
@@ -1172,7 +978,7 @@ impl<'p> Machine<'p> {
             queue_waked: vec![false; total],
             issue_work: Vec::new(),
             issue_leftover: Vec::new(),
-            events: EventQueue::new(engine),
+            events: EventWheel::new(),
             fire_occ: tm.issue_occupancy(),
             qcap: tm.queue_capacity,
             route_cap: tm.route_inflight_cap,

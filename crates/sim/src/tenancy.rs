@@ -26,8 +26,7 @@
 //! typed [`SimError`] in its [`TenantOutcome`] while its neighbours run
 //! to completion unperturbed.
 
-use crate::fault::FaultSet;
-use crate::machine::{run_full, EngineKind, RunResult, SimError};
+use crate::machine::{run, RunResult, SimError};
 use crate::timing::TimingModel;
 use marionette_cdfg::value::Value;
 use marionette_isa::image::{ImageError, MultiTenantImage};
@@ -174,7 +173,6 @@ pub fn run_tenants(
     image: &MultiTenantImage,
     tms: &[TimingModel],
     loads: &[TenantWorkload],
-    engine: EngineKind,
 ) -> Result<TenancyRun, TenancyError> {
     let progs = image.tenant_programs()?;
     if tms.len() != progs.len() {
@@ -195,15 +193,7 @@ pub fn run_tenants(
         .zip(image.tenants())
         .zip(tms.iter().zip(loads.iter()))
     {
-        let result = run_full(
-            prog,
-            tm,
-            &FaultSet::none(),
-            engine,
-            &load.inputs,
-            &load.params,
-            load.max_cycles,
-        );
+        let result = run(prog, tm, &load.inputs, &load.params, load.max_cycles);
         tenants.push(TenantOutcome {
             name: slot.name.clone(),
             partition: slot.partition_spec(),

@@ -1,4 +1,4 @@
-//! A calendar-queue **event wheel**: the simulator's default event queue.
+//! A calendar-queue **event wheel**: the simulator's event queue.
 //!
 //! Discrete-event simulators spend a surprising share of their time in the
 //! event queue; a comparison-based heap pays `O(log n)` per operation and a
